@@ -174,21 +174,16 @@ fn perf_sort_key<'m>(a: &Accelerator, model: &'m str) -> (u32, u32, u32, u32, St
     )
 }
 
-/// The memoizable product of context construction: the accuracy-drop
-/// table (the expensive behavioural characterization) plus whatever
-/// performance summaries previous runs warmed. Model-independent —
-/// one seed serves every DNN evaluated on its node — and keyed by the
-/// **context** stage fingerprint (library key + node + evaluator
-/// calibration).
-pub(crate) struct ContextSeed {
-    drops: Vec<f64>,
-    perf: Vec<(Accelerator, String, PerfSummary)>,
-}
+/// The node-independent product of behavioural characterization: one
+/// accuracy drop per library entry, in library order. Keyed by the
+/// **accuracy** stage fingerprint (library key + evaluator
+/// calibration), so one characterization serves every node's context.
+pub(crate) struct AccuracyDrops(pub(crate) Vec<f64>);
 
-impl ContextSeed {
+impl AccuracyDrops {
     /// Runs the behavioural accuracy characterization — the dominant
-    /// cost of context construction and the compute behind a context
-    /// stage miss.
+    /// cost of context construction and the compute behind an
+    /// accuracy stage miss.
     ///
     /// # Panics
     ///
@@ -196,32 +191,87 @@ impl ContextSeed {
     /// datatype).
     pub(crate) fn characterize(library: &MultiplierLibrary, evaluator: EvaluatorConfig) -> Self {
         assert_eq!(library.width(), 8, "context requires an 8-bit library");
-        let drops = AccuracyEvaluator::new(evaluator)
-            .evaluate_library(library)
-            .into_iter()
-            .map(|(_, drop)| drop)
-            .collect();
+        AccuracyDrops(
+            AccuracyEvaluator::new(evaluator)
+                .evaluate_library(library)
+                .into_iter()
+                .map(|(_, drop)| drop)
+                .collect(),
+        )
+    }
+
+    /// True when this table can drive a context over `library`: one
+    /// drop in `[0, 1]` per entry (a decoded disk entry could be a
+    /// corrupt-but-parseable payload of the wrong shape; it must be
+    /// recomputed, never served).
+    pub(crate) fn matches(&self, library: &MultiplierLibrary) -> bool {
+        drops_fit(&self.0, library)
+    }
+
+    /// Durable payload: the drops as hex bits, in the
+    /// [`ContextSeed::encode`] style.
+    pub(crate) fn encode(&self) -> String {
+        format!("{{\"v\":1,\"drops\":[{}]}}", drops_json(&self.0))
+    }
+
+    pub(crate) fn decode(text: &str) -> Option<Self> {
+        let v = serde::json::parse(text).ok()?;
+        if v.get("v")?.as_f64()? != 1.0 {
+            return None;
+        }
+        decode_drops(&v).map(AccuracyDrops)
+    }
+}
+
+fn drops_fit(drops: &[f64], library: &MultiplierLibrary) -> bool {
+    drops.len() == library.len() && drops.iter().all(|d| (0.0..=1.0).contains(d))
+}
+
+fn drops_json(drops: &[f64]) -> String {
+    let drops: Vec<String> = drops
+        .iter()
+        .map(|&d| format!("\"{}\"", f64_hex(d)))
+        .collect();
+    drops.join(",")
+}
+
+fn decode_drops(v: &serde::json::Value) -> Option<Vec<f64>> {
+    v.get("drops")?
+        .as_array()?
+        .iter()
+        .map(|d| f64_from_hex(d.as_str()?))
+        .collect()
+}
+
+/// The memoizable product of context construction: the accuracy-drop
+/// table plus whatever performance summaries previous runs warmed.
+/// Model-independent — one seed serves every DNN evaluated on its
+/// node — and keyed by the **context** stage fingerprint (library
+/// key, node and evaluator calibration). A context miss takes its
+/// drops from the accuracy stage.
+pub(crate) struct ContextSeed {
+    drops: Vec<f64>,
+    perf: Vec<(Accelerator, String, PerfSummary)>,
+}
+
+impl ContextSeed {
+    /// A seed with no warmed performance summaries.
+    pub(crate) fn new(drops: &AccuracyDrops) -> Self {
         ContextSeed {
-            drops,
+            drops: drops.0.clone(),
             perf: Vec::new(),
         }
     }
 
-    /// True when this seed can drive a context over `library` (a
-    /// decoded disk entry could be a corrupt-but-parseable payload of
-    /// the wrong shape; it must be recomputed, never served).
+    /// True when this seed can drive a context over `library` (same
+    /// rule as [`AccuracyDrops::matches`]).
     pub(crate) fn matches(&self, library: &MultiplierLibrary) -> bool {
-        self.drops.len() == library.len() && self.drops.iter().all(|d| (0.0..=1.0).contains(d))
+        drops_fit(&self.drops, library)
     }
 
     /// Durable payload: drops and perf summaries as hex bits (see the
     /// codec notes in `crate::memo`).
     pub(crate) fn encode(&self) -> String {
-        let drops: Vec<String> = self
-            .drops
-            .iter()
-            .map(|&d| format!("\"{}\"", f64_hex(d)))
-            .collect();
         let perf: Vec<String> = self
             .perf
             .iter()
@@ -245,7 +295,7 @@ impl ContextSeed {
             .collect();
         format!(
             "{{\"v\":1,\"drops\":[{}],\"perf\":[{}]}}",
-            drops.join(","),
+            drops_json(&self.drops),
             perf.join(",")
         )
     }
@@ -260,10 +310,7 @@ impl ContextSeed {
         if v.get("v")?.as_f64()? != 1.0 {
             return None;
         }
-        let mut drops = Vec::new();
-        for d in v.get("drops")?.as_array()? {
-            drops.push(f64_from_hex(d.as_str()?)?);
-        }
+        let drops = decode_drops(&v)?;
         let mut perf = Vec::new();
         for p in v.get("perf")?.as_array()? {
             let accel = Accelerator {
@@ -383,9 +430,8 @@ impl CarmaContext {
         library: MultiplierLibrary,
         evaluator: EvaluatorConfig,
     ) -> Self {
-        let library = Arc::new(library);
-        let seed = ContextSeed::characterize(&library, evaluator);
-        Self::assemble(node, library, &seed, None)
+        let seed = ContextSeed::new(&AccuracyDrops::characterize(&library, evaluator));
+        Self::assemble(node, Arc::new(library), &seed, None)
     }
 
     /// Assembles a context from an already-characterized seed — the

@@ -2,10 +2,13 @@
 //! codecs binding the generic [`carma_memo::MemoStore`] to the CARMA
 //! compute graph.
 //!
-//! Three stages are memoized (see the crate-level docs of
-//! `carma-memo`): the characterized multiplier **library**, the
-//! per-node **context** seed (accuracy-drop table + perf-cache
-//! entries), and per-experiment **cells** (one sweep or GA result).
+//! Four stages are memoized (see the crate-level docs of
+//! `carma-memo`): the characterized multiplier **library**, its
+//! node-independent **accuracy**-drop table (the behavioural
+//! characterization, shared by every node), the per-node **context**
+//! seed (accuracy-drop table + perf-cache entries, read from the
+//! accuracy stage on a miss), and per-experiment **cells** (one sweep
+//! or GA result).
 //! Each stage's canonical JSON names exactly the inputs that determine
 //! its output — thread count excluded — following the
 //! [`ResolvedScenario::canonical_json`] discipline, and each durable
@@ -28,14 +31,14 @@ use carma_multiplier::{
 use carma_netlist::{Area, ImportFormat, TechNode};
 use serde::json::{to_string as js, Value};
 
-use crate::context::{CarmaContext, ContextSeed, DesignEval};
+use crate::context::{AccuracyDrops, CarmaContext, ContextSeed, DesignEval};
 use crate::flow::SweepPoint;
 use crate::scenario::{Family, LibrarySource, ResolvedScenario};
 
 /// The shared memo handle a run reads through: CLI, serve workers and
 /// registry runners all hold clones of one layer, so overlapping
-/// scenarios share library/context/cell work within and (with a disk
-/// dir) across processes.
+/// scenarios share library/accuracy/context/cell work within and (with
+/// a disk dir) across processes.
 #[derive(Clone)]
 pub struct MemoLayer {
     store: Arc<MemoStore>,
@@ -104,10 +107,12 @@ impl MemoLayer {
     }
 
     /// The evaluation context of `(scenario, source, node)`, read
-    /// through the memo: the library stage feeds the context stage,
-    /// and the returned context carries a write-back handle that keys
-    /// its cell-stage lookups (and persists its warmed perf cache on
-    /// drop).
+    /// through the memo: the library stage feeds the context stage, a
+    /// context miss reads its drops from the node-independent accuracy
+    /// stage (so single-flight shares one characterization across
+    /// nodes), and the returned context carries a write-back handle
+    /// that keys its cell-stage lookups (and persists its warmed perf
+    /// cache on drop).
     pub fn context_from(
         &self,
         r: &ResolvedScenario,
@@ -122,33 +127,43 @@ impl MemoLayer {
             decode_library,
             || r.library_from(source),
         );
-        let ctx_canon = context_canon(&carma_memo::fingerprint(&lib_canon), node, &r.evaluator());
-        let context_key = carma_memo::fingerprint(&ctx_canon);
+        let lib_key = carma_memo::fingerprint(&lib_canon);
+        let evaluator = r.evaluator();
+        let context_key = carma_memo::fingerprint(&context_canon(&lib_key, node, &evaluator));
+        // A disk entry can parse yet not fit this library (truncated
+        // or cross-written payload): decoding it is a miss, so it is
+        // recomputed and overwritten rather than served.
         let seed = self.store.get_or_compute_keyed(
             Stage::Context,
             &context_key,
             ContextSeed::encode,
-            ContextSeed::decode,
-            || ContextSeed::characterize(&library, r.evaluator()),
+            |text| ContextSeed::decode(text).filter(|seed| seed.matches(&library)),
+            || ContextSeed::new(&self.accuracy(&lib_key, &library, evaluator)),
         );
-        // A disk entry can parse yet not fit this library (truncated
-        // or cross-written payload); recompute and overwrite rather
-        // than serve it.
-        let seed = if seed.matches(&library) {
-            seed
-        } else {
-            self.store.put(
-                Stage::Context,
-                &context_key,
-                ContextSeed::characterize(&library, r.evaluator()),
-                ContextSeed::encode,
-            )
-        };
         CarmaContext::assemble(
             node,
             library,
             &seed,
             Some((Arc::clone(&self.store), context_key)),
+        )
+    }
+
+    /// The accuracy-drop table of the library keyed `library_key`
+    /// under `evaluator`, through the accuracy stage (same decode rule
+    /// as the context seed: an entry that does not fit the library is
+    /// a miss).
+    fn accuracy(
+        &self,
+        library_key: &str,
+        library: &MultiplierLibrary,
+        evaluator: EvaluatorConfig,
+    ) -> Arc<AccuracyDrops> {
+        self.store.get_or_compute(
+            Stage::Accuracy,
+            &accuracy_canon(library_key, &evaluator),
+            AccuracyDrops::encode,
+            |text| AccuracyDrops::decode(text).filter(|drops| drops.matches(library)),
+            || AccuracyDrops::characterize(library, evaluator),
         )
     }
 
@@ -207,22 +222,36 @@ pub fn library_source_canon(r: &ResolvedScenario, source: &LibrarySource) -> Str
     }
 }
 
+/// Canonical JSON of the **accuracy** stage key: the library it
+/// characterizes (by fingerprint) and the full accuracy-evaluator
+/// calibration. Node-independent by construction — one drop table
+/// serves every node's context.
+pub fn accuracy_canon(library_key: &str, evaluator: &EvaluatorConfig) -> String {
+    format!(
+        "{{\"stage\":\"accuracy\",\"v\":1,\"library\":{},{}}}",
+        js(library_key),
+        evaluator_canon(evaluator),
+    )
+}
+
+/// The `"evaluator"` member shared by the accuracy and context keys.
+fn evaluator_canon(evaluator: &EvaluatorConfig) -> String {
+    format!(
+        "\"evaluator\":{{\"samples\":{},\"classes\":{},\"input_hw\":{},\"noise\":{},\"seed\":{}}}",
+        evaluator.samples, evaluator.classes, evaluator.input_hw, evaluator.noise, evaluator.seed,
+    )
+}
+
 /// Canonical JSON of the **context** stage key: the library it wraps
 /// (by fingerprint), the node, and the full accuracy-evaluator
 /// calibration. Model-independent by construction — one context seed
 /// serves every DNN.
 pub fn context_canon(library_key: &str, node: TechNode, evaluator: &EvaluatorConfig) -> String {
     format!(
-        "{{\"stage\":\"context\",\"v\":1,\"library\":{},\"node\":{},\
-         \"evaluator\":{{\"samples\":{},\"classes\":{},\"input_hw\":{},\
-         \"noise\":{},\"seed\":{}}}}}",
+        "{{\"stage\":\"context\",\"v\":1,\"library\":{},\"node\":{},{}}}",
         js(library_key),
         js(&node.to_string()),
-        evaluator.samples,
-        evaluator.classes,
-        evaluator.input_hw,
-        evaluator.noise,
-        evaluator.seed,
+        evaluator_canon(evaluator),
     )
 }
 
@@ -710,6 +739,37 @@ mod tests {
     }
 
     #[test]
+    fn accuracy_canon_tracks_library_and_calibration_not_node() {
+        let r = resolved("fig2");
+        let base = accuracy_canon("aa11", &r.evaluator());
+        assert_eq!(base, accuracy_canon("aa11", &r.evaluator()), "stable");
+        assert_ne!(base, accuracy_canon("bb22", &r.evaluator()));
+        let mut more_samples = r.evaluator();
+        more_samples.samples += 1;
+        assert_ne!(base, accuracy_canon("aa11", &more_samples));
+        assert!(!base.contains("node"), "{base}");
+        // Accuracy and context keys never share a preimage.
+        assert_ne!(base, context_canon("aa11", TechNode::N7, &r.evaluator()));
+    }
+
+    #[test]
+    fn context_canon_is_unchanged_by_the_accuracy_stage() {
+        // Persisted context entries stay addressable: the key bytes
+        // are exactly those written before the accuracy stage existed.
+        let r = resolved("fig2");
+        let e = r.evaluator();
+        assert_eq!(
+            context_canon("aa11", TechNode::N7, &e),
+            format!(
+                "{{\"stage\":\"context\",\"v\":1,\"library\":\"aa11\",\"node\":\"7nm\",\
+                 \"evaluator\":{{\"samples\":{},\"classes\":{},\"input_hw\":{},\
+                 \"noise\":{},\"seed\":{}}}}}",
+                e.samples, e.classes, e.input_hw, e.noise, e.seed
+            )
+        );
+    }
+
+    #[test]
     fn context_canon_tracks_library_node_and_calibration() {
         let r = resolved("fig2");
         let base = context_canon("aa11", TechNode::N7, &r.evaluator());
@@ -765,6 +825,107 @@ mod tests {
         let eval = points[0].eval.clone();
         assert_eq!(decode_eval(&encode_eval(&eval)), Some(eval));
         assert_eq!(decode_sweep(&encode_sweep(&points)), Some(points));
+    }
+
+    /// A small shrunk fig2 scenario and its library, for tests that
+    /// characterize for real.
+    fn small_scenario() -> (ResolvedScenario, MultiplierLibrary) {
+        let mut spec = ScenarioSpec::named("fig2");
+        spec.library_depth = Some(1);
+        spec.accuracy_samples = Some(8);
+        let r = spec
+            .resolve(&ExperimentRegistry::standard(), None, None)
+            .expect("valid spec");
+        let lib = r.library_from(&r.library_source());
+        (r, lib)
+    }
+
+    #[test]
+    fn accuracy_payload_round_trips_bit_exactly() {
+        let drops = AccuracyDrops(vec![0.0, 1.0 / 3.0, f64::MIN_POSITIVE, 1.0]);
+        let back = AccuracyDrops::decode(&drops.encode()).expect("decodes");
+        let bits = |d: &AccuracyDrops| d.0.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&drops), bits(&back));
+        for text in ["", "{", "{\"v\":2,\"drops\":[]}", "{\"v\":1,\"drops\":[1]}"] {
+            assert!(AccuracyDrops::decode(text).is_none(), "payload: {text}");
+        }
+    }
+
+    #[test]
+    fn misfit_accuracy_entries_are_recomputed_never_served() {
+        let (r, lib) = small_scenario();
+        let reference = AccuracyDrops::characterize(&lib, r.evaluator()).0;
+        let lib_key = carma_memo::fingerprint(&library_source_canon(&r, &r.library_source()));
+        let fp = carma_memo::fingerprint(&accuracy_canon(&lib_key, &r.evaluator()));
+        let n = lib.len();
+        let mut nan = vec![0.0; n];
+        nan[n - 1] = f64::NAN;
+        for (case, drops) in [
+            ("too long", vec![0.0; n + 1]),
+            ("too short", vec![0.0; n - 1]),
+            ("above one", vec![1.5; n]),
+            ("negative", vec![-0.25; n]),
+            ("nan", nan),
+        ] {
+            let dir = std::env::temp_dir().join(format!(
+                "carma-core-misfit-{}-{}",
+                case.replace(' ', "-"),
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let layer = MemoLayer::with_disk(dir.clone()).expect("memo dir");
+            let path = dir.join("accuracy").join(format!("{fp}.json"));
+            std::fs::write(&path, AccuracyDrops(drops).encode()).expect("plant entry");
+
+            let ctx = layer.context(&r, TechNode::N7);
+            let served: Vec<f64> = (0..n).map(|i| ctx.accuracy_drop(i)).collect();
+            assert_eq!(served, reference, "{case}: a misfit table was served");
+            let s = layer.stats().accuracy;
+            assert_eq!((s.hits, s.misses, s.disk_hits), (0, 1, 0), "{case}");
+            // The entry was overwritten with the recomputed table.
+            let repaired = std::fs::read_to_string(&path).expect("entry rewritten");
+            let repaired = AccuracyDrops::decode(&repaired).expect("decodes");
+            assert_eq!(repaired.0, reference, "{case}");
+            drop(ctx);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        // Mutated accuracy payloads — truncated, spliced, a digit
+        // flipped — decode to None or to a table, never panic; a table
+        // that decodes is served only if it fits the library.
+        #[test]
+        fn mutated_accuracy_payloads_never_panic(
+            cut in 0usize..400,
+            at in 0usize..400,
+            splice_bytes in proptest::collection::vec(32u8..127, 0..8),
+            flip in 0usize..400,
+        ) {
+            static LIB: std::sync::OnceLock<MultiplierLibrary> = std::sync::OnceLock::new();
+            let lib = LIB.get_or_init(|| small_scenario().1);
+            let drops: Vec<f64> = (0..lib.len()).map(|i| i as f64 / 16.0).collect();
+            let text = AccuracyDrops(drops).encode();
+            let splice: String = splice_bytes.iter().map(|&b| b as char).collect();
+            let at = at.min(text.len());
+            let flip = flip.min(text.len() - 1);
+            let mut flipped = text.clone().into_bytes();
+            flipped[flip] = if flipped[flip] == b'0' { b'f' } else { b'0' };
+            for mutated in [
+                text[..cut.min(text.len())].to_string(),
+                format!("{}{splice}{}", &text[..at], &text[at..]),
+                String::from_utf8(flipped).expect("ascii"),
+            ] {
+                if let Some(decoded) = AccuracyDrops::decode(&mutated) {
+                    if decoded.matches(lib) {
+                        proptest::prop_assert_eq!(decoded.0.len(), lib.len());
+                        proptest::prop_assert!(decoded.0.iter().all(|d| (0.0..=1.0).contains(d)));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -695,8 +695,9 @@ impl Provenance {
                     )
                 };
                 format!(
-                    "{{\"library\":{},\"context\":{},\"cell\":{}}}",
+                    "{{\"library\":{},\"accuracy\":{},\"context\":{},\"cell\":{}}}",
                     stage(stats.library),
+                    stage(stats.accuracy),
                     stage(stats.context),
                     stage(stats.cell)
                 )

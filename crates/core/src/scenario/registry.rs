@@ -106,10 +106,13 @@ impl RunEnv {
         }
     }
 
-    /// One context per node of the sweep, in `r.nodes` order.
+    /// One context per node of the sweep, in `r.nodes` order. Through
+    /// the memo the nodes go one at a time: they share one library and
+    /// one accuracy characterization, which then gets the whole pool
+    /// instead of one worker while the others wait on it.
     pub fn node_contexts(&self, r: &ResolvedScenario) -> Vec<CarmaContext> {
         match &self.memo {
-            Some(layer) => carma_exec::par_map(&r.nodes, |&node| layer.context(r, node)),
+            Some(layer) => r.nodes.iter().map(|&node| layer.context(r, node)).collect(),
             None => r.node_contexts(),
         }
     }

@@ -17,7 +17,7 @@ use carma_multiplier::{ExactMultiplier, Multiplier, MultiplierEntry, MultiplierL
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::engine::QuantizedNetwork;
+use crate::engine::{ProductTable, QuantizedNetwork};
 use crate::tensor::Tensor;
 
 /// Configuration of the synthetic-ImageNet evaluation.
@@ -98,16 +98,15 @@ impl AccuracyEvaluator {
         assert!(config.samples > 0, "need at least one sample");
         let network = QuantizedNetwork::synthetic(config.input_hw, config.classes, config.seed);
         let inputs = Self::gaussian_mixture(&config);
-        let exact = ExactMultiplier::new(8);
-        // The reference run is one forward pass per sample — all
-        // independent, so fan them out over the execution pool.
-        let exact_predictions = carma_exec::par_map(&inputs, |x| network.predict(x, &exact));
-        AccuracyEvaluator {
+        let mut evaluator = AccuracyEvaluator {
             config,
             network,
             inputs,
-            exact_predictions,
-        }
+            exact_predictions: Vec::new(),
+        };
+        let _span = carma_trace::span!("accuracy.reference", "n={}", evaluator.macs_per_run());
+        evaluator.exact_predictions = evaluator.run(&ProductTable::new(&ExactMultiplier::new(8)));
+        evaluator
     }
 
     /// The evaluator's configuration.
@@ -170,11 +169,33 @@ impl AccuracyEvaluator {
     ///
     /// Panics if `mult` is not 8 bits wide.
     pub fn accuracy_drop(&self, mult: &dyn Multiplier) -> f64 {
-        let flips = carma_exec::par_map_indexed(&self.inputs, |i, input| {
-            usize::from(self.network.predict(input, mult) != self.exact_predictions[i])
-        })
-        .into_iter()
-        .sum::<usize>();
+        self.drop_with(&ProductTable::new(mult))
+    }
+
+    /// MACs of one run over every sample.
+    fn macs_per_run(&self) -> u64 {
+        self.inputs.len() as u64 * self.network.macs_per_inference()
+    }
+
+    /// Predictions on every sample with the multiplier tabulated in
+    /// `table`: one forward pass per sample, all independent, so they
+    /// fan out over the execution pool. Adds the run's work to the
+    /// `dnn.samples` and `dnn.macs` trace counters.
+    fn run(&self, table: &ProductTable) -> Vec<usize> {
+        let predictions = carma_exec::par_map(&self.inputs, |x| self.network.predict(x, table));
+        carma_trace::counter("dnn.samples", self.inputs.len() as u64);
+        carma_trace::counter("dnn.macs", self.macs_per_run());
+        predictions
+    }
+
+    /// The accuracy drop of the multiplier tabulated in `table`.
+    fn drop_with(&self, table: &ProductTable) -> f64 {
+        let flips = self
+            .run(table)
+            .iter()
+            .zip(&self.exact_predictions)
+            .filter(|(p, exact)| p != exact)
+            .count();
         flips as f64 / self.inputs.len() as f64
     }
 
@@ -200,20 +221,24 @@ impl AccuracyEvaluator {
     /// multipliers into the paper's 0.5 % / 1.0 % / 2.0 % classes.
     ///
     /// Library members are scored in parallel on the `carma-exec`
-    /// pool (each member's LUT compilation + behavioural run is
-    /// independent); results stay in library order.
+    /// pool; each member's task compiles its LUT, tabulates it, runs
+    /// every sample and drops both tables, so at most one table per
+    /// worker is resident. Results stay in library order.
     pub fn evaluate_library<'lib>(
         &self,
         library: &'lib MultiplierLibrary,
     ) -> Vec<(&'lib MultiplierEntry, f64)> {
         let entries = library.entries();
+        let macs = self.macs_per_run();
         carma_exec::par_gen(entries.len(), |i| {
             let entry = &entries[i];
             let drop = if entry.profile.error_rate == 0.0 {
                 0.0
             } else {
-                let lut = carma_multiplier::LutMultiplier::compile(&entry.circuit);
-                self.accuracy_drop(&lut)
+                let _span = carma_trace::span!("accuracy.entry", "mult={} n={macs}", entry.name);
+                let table =
+                    ProductTable::new(&carma_multiplier::LutMultiplier::compile(&entry.circuit));
+                self.drop_with(&table)
             };
             (entry, drop)
         })
@@ -293,6 +318,32 @@ mod tests {
         // Every drop is a valid probability.
         for (_, d) in &results {
             assert!((0.0..=1.0).contains(d));
+        }
+    }
+
+    #[test]
+    fn library_drops_match_scalar_oracle() {
+        let eval = AccuracyEvaluator::new(EvaluatorConfig {
+            samples: 24,
+            ..EvaluatorConfig::default()
+        });
+        let exact = ExactMultiplier::new(8);
+        let oracle_predictions: Vec<usize> = eval
+            .inputs
+            .iter()
+            .map(|x| crate::engine::oracle::predict(&eval.network, x, &exact))
+            .collect();
+        assert_eq!(oracle_predictions, eval.exact_predictions);
+        let lib = MultiplierLibrary::truncation_ladder(8, 6);
+        for (entry, drop) in eval.evaluate_library(&lib) {
+            let lut = LutMultiplier::compile(&entry.circuit);
+            let flips = eval
+                .inputs
+                .iter()
+                .zip(&oracle_predictions)
+                .filter(|&(x, &p)| crate::engine::oracle::predict(&eval.network, x, &lut) != p)
+                .count();
+            assert_eq!(drop, flips as f64 / 24.0, "{}", entry.name);
         }
     }
 

@@ -9,7 +9,34 @@
 //! form, so each product is an *unsigned* 8×8 multiplication — the
 //! datatype the paper's approximate multipliers implement — with the
 //! weight sign applied to the accumulator afterwards. Accumulation is
-//! exact 64-bit; each layer requantizes by a calibrated right shift.
+//! exact (a convolution output sums at most `in_channels · 9` 16-bit
+//! products in `i32`, the classifier sums in `i64`); each convolution
+//! requantizes by a calibrated right shift.
+//!
+//! ## The product table
+//!
+//! The multiplier is never called per MAC. A `ProductTable` tabulates
+//! it once: one row of 256 `i32` products per signed 8-bit weight
+//! value (indexed by the weight's two's-complement byte), one column
+//! per `u8` activation, with the weight sign folded in —
+//! `row(w)[a] = sign(w) · m(a, |w|)`. Row 0 and column 0 are zero, so
+//! zero operands contribute nothing, exactly as if skipped. The table
+//! holds 64 Ki entries (256 KB) and costs 65 536 multiplier calls to
+//! build, about half of one forward pass of the reference network.
+//!
+//! Convolutions run weight-stationary over zero-padded activations.
+//! For each input channel, the nine kernel weights' table rows are
+//! gathered at every output position's nine input activations and
+//! their sum added to that position's accumulator. Output rows
+//! are laid out at the padded row pitch, so one branch-free loop with
+//! no bounds tests (a `u8` indexes a 256-entry row) sweeps the whole
+//! plane; the two pitch columns past each row's end are discarded, and
+//! padding taps read the zero border, i.e. column 0. The classifier
+//! gathers the same way. Integer addition is exact, so the summation
+//! order differs from a per-output loop without changing a single
+//! logit.
+
+use std::borrow::Cow;
 
 use carma_multiplier::{ExactMultiplier, Multiplier};
 use rand::rngs::StdRng;
@@ -17,15 +44,57 @@ use rand::{RngExt, SeedableRng};
 
 use crate::tensor::Tensor;
 
-/// A quantized convolution layer (square kernel, symmetric padding).
+/// A multiplier tabulated for the engine: signed products of every
+/// 8-bit weight with every 8-bit activation (see the module docs).
+pub(crate) struct ProductTable {
+    /// `rows[w as u8][a]` = `sign(w) · m(a, |w|)`, zero when either
+    /// operand is zero.
+    rows: Box<[[i32; 256]; 256]>,
+}
+
+impl ProductTable {
+    /// Tabulates `mult`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the multiplier is not 8 bits wide, or if it returns a
+    /// product wider than the 16 bits of an 8×8 product.
+    pub(crate) fn new(mult: &dyn Multiplier) -> Self {
+        assert_eq!(mult.width(), 8, "engine requires an 8-bit multiplier");
+        let mut rows: Box<[[i32; 256]; 256]> = vec![[0i32; 256]; 256]
+            .into_boxed_slice()
+            .try_into()
+            .expect("256 rows");
+        for w in (i8::MIN..=i8::MAX).filter(|&w| w != 0) {
+            let row = &mut rows[usize::from(w as u8)];
+            let magnitude = u32::from(w.unsigned_abs());
+            for a in 1..=255u8 {
+                let p = u16::try_from(mult.multiply(u32::from(a), magnitude))
+                    .map(i32::from)
+                    .expect("an 8×8 product fits in 16 bits");
+                row[usize::from(a)] = if w < 0 { -p } else { p };
+            }
+        }
+        ProductTable { rows }
+    }
+
+    /// The products of weight `w` with every activation.
+    fn row(&self, w: i8) -> &[i32; 256] {
+        &self.rows[usize::from(w as u8)]
+    }
+}
+
+/// Side of every convolution kernel. Convolutions are "same": stride
+/// 1 and a one-pixel zero border, so output size equals input size.
+/// The gather loop of `QConv::accumulate` is written out for 3×3.
+const K: usize = 3;
+
+/// A quantized 3×3 "same" convolution layer.
 #[derive(Debug, Clone)]
 pub struct QConv {
     in_channels: usize,
     out_channels: usize,
-    kernel: usize,
-    stride: usize,
-    padding: usize,
-    /// Weights in `[out_c][in_c][k][k]` order.
+    /// Weights in `[out_c][in_c][ky][kx]` order.
     weights: Vec<i8>,
     /// Right-shift applied at requantization (calibrated).
     shift: u32,
@@ -89,19 +158,13 @@ impl QuantizedNetwork {
         let c1 = QConv {
             in_channels: 3,
             out_channels: 8,
-            kernel: 3,
-            stride: 1,
-            padding: 1,
-            weights: weights(8 * 3 * 9),
+            weights: weights(8 * 3 * K * K),
             shift: 0,
         };
         let c2 = QConv {
             in_channels: 8,
             out_channels: 16,
-            kernel: 3,
-            stride: 1,
-            padding: 1,
-            weights: weights(16 * 8 * 9),
+            weights: weights(16 * 8 * K * K),
             shift: 0,
         };
         let feat_hw = input_hw / 4;
@@ -148,10 +211,7 @@ impl QuantizedNetwork {
         for layer in &self.layers {
             match layer {
                 QLayer::Conv(c) => {
-                    let out_hw = (hw + 2 * c.padding - c.kernel) / c.stride + 1;
-                    macs += (c.out_channels * c.in_channels * c.kernel * c.kernel * out_hw * out_hw)
-                        as u64;
-                    hw = out_hw;
+                    macs += (c.out_channels * c.in_channels * K * K * hw * hw) as u64;
                 }
                 QLayer::MaxPool => hw /= 2,
                 QLayer::Linear(l) => macs += (l.in_features * l.out_features) as u64,
@@ -164,7 +224,7 @@ impl QuantizedNetwork {
     /// occupy the 8-bit range without saturating, using exact
     /// multiplication on seeded random inputs.
     fn calibrate(&mut self, seed: u64) {
-        let exact = ExactMultiplier::new(8);
+        let exact = ProductTable::new(&ExactMultiplier::new(8));
         let mut rng = StdRng::seed_from_u64(seed);
         // One representative random input is enough: the network is
         // linear up to ReLU, so activation scale is input-scale driven.
@@ -183,7 +243,7 @@ impl QuantizedNetwork {
         for i in 0..n_layers {
             match &mut self.layers[i] {
                 QLayer::Conv(conv) => {
-                    let (acc, out_hw) = conv.accumulate(&act, &exact);
+                    let acc = conv.accumulate(&act, &exact);
                     let max = acc.iter().copied().max().unwrap_or(0).max(1);
                     // Smallest shift with max>>shift ≤ 255.
                     let mut shift = 0u32;
@@ -191,7 +251,7 @@ impl QuantizedNetwork {
                         shift += 1;
                     }
                     conv.shift = shift;
-                    act = conv.requantize(&acc, out_hw);
+                    act = conv.requantize(&acc, act.height());
                 }
                 QLayer::MaxPool => {
                     act = max_pool_2x2(&act);
@@ -201,30 +261,27 @@ impl QuantizedNetwork {
         }
     }
 
-    /// Runs one forward pass, returning the raw class logits.
+    /// Runs one forward pass with the multiplier tabulated in `table`,
+    /// returning the raw class logits.
     ///
     /// # Panics
     ///
-    /// Panics if the input shape does not match the network, or if the
-    /// multiplier is not 8 bits wide.
-    pub fn forward(&self, input: &Tensor<u8>, mult: &dyn Multiplier) -> Vec<i64> {
-        assert_eq!(mult.width(), 8, "engine requires an 8-bit multiplier");
-        assert_eq!(input.channels(), self.input_channels, "channel mismatch");
-        assert_eq!(input.height(), self.input_hw, "height mismatch");
-        assert_eq!(input.width(), self.input_hw, "width mismatch");
-        let mut act = input.clone();
+    /// Panics if the input shape does not match the network.
+    pub(crate) fn forward(&self, input: &Tensor<u8>, table: &ProductTable) -> Vec<i64> {
+        self.check_input(input);
+        let mut act = Cow::Borrowed(input);
         let mut logits = Vec::new();
         for layer in &self.layers {
             match layer {
                 QLayer::Conv(conv) => {
-                    let (acc, out_hw) = conv.accumulate(&act, mult);
-                    act = conv.requantize(&acc, out_hw);
+                    let acc = conv.accumulate(&act, table);
+                    act = Cow::Owned(conv.requantize(&acc, act.height()));
                 }
                 QLayer::MaxPool => {
-                    act = max_pool_2x2(&act);
+                    act = Cow::Owned(max_pool_2x2(&act));
                 }
                 QLayer::Linear(lin) => {
-                    logits = lin.forward(&act, mult);
+                    logits = lin.forward(&act, table);
                 }
             }
         }
@@ -237,55 +294,75 @@ impl QuantizedNetwork {
     /// # Panics
     ///
     /// Same conditions as [`Self::forward`].
-    pub fn predict(&self, input: &Tensor<u8>, mult: &dyn Multiplier) -> usize {
-        let logits = self.forward(input, mult);
-        argmax(&logits)
+    pub(crate) fn predict(&self, input: &Tensor<u8>, table: &ProductTable) -> usize {
+        argmax(&self.forward(input, table))
+    }
+
+    fn check_input(&self, input: &Tensor<u8>) {
+        assert_eq!(input.channels(), self.input_channels, "channel mismatch");
+        assert_eq!(input.height(), self.input_hw, "height mismatch");
+        assert_eq!(input.width(), self.input_hw, "width mismatch");
     }
 }
 
 impl QConv {
     /// Convolves `input`, returning raw ReLU-ed accumulators (flat
-    /// `[out_c][y][x]`) and the output spatial size.
-    fn accumulate(&self, input: &Tensor<u8>, mult: &dyn Multiplier) -> (Vec<i64>, usize) {
-        let in_hw = input.height();
-        let out_hw = (in_hw + 2 * self.padding - self.kernel) / self.stride + 1;
-        let mut acc = vec![0i64; self.out_channels * out_hw * out_hw];
-        for oc in 0..self.out_channels {
-            for oy in 0..out_hw {
-                for ox in 0..out_hw {
-                    let mut sum = 0i64;
-                    for ic in 0..self.in_channels {
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                let iy = (oy * self.stride + ky) as isize - self.padding as isize;
-                                let ix = (ox * self.stride + kx) as isize - self.padding as isize;
-                                if iy < 0 || ix < 0 || iy >= in_hw as isize || ix >= in_hw as isize
-                                {
-                                    continue;
-                                }
-                                let a = *input.get(ic, iy as usize, ix as usize);
-                                let w = self.weights[((oc * self.in_channels + ic) * self.kernel
-                                    + ky)
-                                    * self.kernel
-                                    + kx];
-                                if a == 0 || w == 0 {
-                                    continue;
-                                }
-                                let p = mult.multiply(u32::from(a), w.unsigned_abs() as u32) as i64;
-                                sum += if w < 0 { -p } else { p };
-                            }
-                        }
-                    }
-                    // ReLU.
-                    acc[(oc * out_hw + oy) * out_hw + ox] = sum.max(0);
-                }
+    /// `[out_c][y][x]`, same spatial size as the input).
+    fn accumulate(&self, input: &Tensor<u8>, table: &ProductTable) -> Vec<i32> {
+        let hw = input.height();
+        // Zero-padded copy of the input at row pitch `pitch`: padding
+        // taps read column 0 of the table row, which is zero.
+        let pitch = hw + K - 1;
+        let plane_len = pitch * pitch;
+        let mut padded = vec![0u8; self.in_channels * plane_len];
+        for (dst, src) in padded
+            .chunks_exact_mut(plane_len)
+            .zip(input.as_slice().chunks_exact(hw * hw))
+        {
+            for (y, src_row) in src.chunks_exact(hw).enumerate() {
+                dst[(y + 1) * pitch + 1..][..hw].copy_from_slice(src_row);
             }
         }
-        (acc, out_hw)
+        // Output pixel (y, x) accumulates at `y * pitch + x`; the last
+        // row stops at its last real pixel, so every tap of every
+        // position stays inside the padded plane.
+        let span = (hw - 1) * pitch + hw;
+        let mut wide = vec![0i32; span];
+        let mut acc = Vec::with_capacity(self.out_channels * hw * hw);
+        for filter in self.weights.chunks_exact(self.in_channels * K * K) {
+            wide.fill(0);
+            for (plane, taps) in padded
+                .chunks_exact(plane_len)
+                .zip(filter.chunks_exact(K * K))
+            {
+                let r: [&[i32; 256]; K * K] = std::array::from_fn(|t| table.row(taps[t]));
+                // The K×K input window of output i: row ky of it is
+                // window i of the plane's ky-th line of windows.
+                let line = |ky: usize| plane[ky * pitch..][..span + K - 1].windows(K);
+                let windows = line(0).zip(line(1)).zip(line(2));
+                for (sum, ((a, b), c)) in wide[..span].iter_mut().zip(windows) {
+                    let at = |row: &[i32; 256], x: u8| row[usize::from(x)];
+                    *sum += at(r[0], a[0])
+                        + at(r[1], a[1])
+                        + at(r[2], a[2])
+                        + at(r[3], b[0])
+                        + at(r[4], b[1])
+                        + at(r[5], b[2])
+                        + at(r[6], c[0])
+                        + at(r[7], c[1])
+                        + at(r[8], c[2]);
+                }
+            }
+            // ReLU, dropping the pitch columns.
+            for row in wide.chunks(pitch) {
+                acc.extend(row[..hw].iter().map(|&v| v.max(0)));
+            }
+        }
+        acc
     }
 
     /// Requantizes ReLU-ed accumulators to u8 via the calibrated shift.
-    fn requantize(&self, acc: &[i64], out_hw: usize) -> Tensor<u8> {
+    fn requantize(&self, acc: &[i32], out_hw: usize) -> Tensor<u8> {
         let data = acc
             .iter()
             .map(|&v| ((v >> self.shift).min(255)) as u8)
@@ -296,23 +373,18 @@ impl QConv {
 
 impl QLinear {
     /// Dense forward returning raw logits.
-    fn forward(&self, input: &Tensor<u8>, mult: &dyn Multiplier) -> Vec<i64> {
+    fn forward(&self, input: &Tensor<u8>, table: &ProductTable) -> Vec<i64> {
         let flat = input.as_slice();
         debug_assert_eq!(flat.len(), self.in_features, "fc input size mismatch");
-        let mut out = vec![0i64; self.out_features];
-        for (o, out_val) in out.iter_mut().enumerate() {
-            let mut sum = 0i64;
-            for (i, &a) in flat.iter().enumerate() {
-                let w = self.weights[o * self.in_features + i];
-                if a == 0 || w == 0 {
-                    continue;
-                }
-                let p = mult.multiply(u32::from(a), w.unsigned_abs() as u32) as i64;
-                sum += if w < 0 { -p } else { p };
-            }
-            *out_val = sum;
-        }
-        out
+        self.weights
+            .chunks_exact(self.in_features)
+            .map(|row| {
+                row.iter()
+                    .zip(flat)
+                    .map(|(&w, &a)| i64::from(table.row(w)[usize::from(a)]))
+                    .sum()
+            })
+            .collect()
     }
 }
 
@@ -351,10 +423,115 @@ fn argmax(values: &[i64]) -> usize {
         .unwrap_or(0)
 }
 
+/// The scalar engine the product-table kernel replaced, kept as the
+/// differential oracle: one multiplier call per MAC, zero operands
+/// skipped, padding tested per tap.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    pub(crate) fn forward(
+        net: &QuantizedNetwork,
+        input: &Tensor<u8>,
+        mult: &dyn Multiplier,
+    ) -> Vec<i64> {
+        assert_eq!(mult.width(), 8, "engine requires an 8-bit multiplier");
+        net.check_input(input);
+        let mut act = input.clone();
+        let mut logits = Vec::new();
+        for layer in &net.layers {
+            match layer {
+                QLayer::Conv(conv) => {
+                    let acc = accumulate(conv, &act, mult);
+                    act = requantize(conv, &acc, act.height());
+                }
+                QLayer::MaxPool => {
+                    act = max_pool_2x2(&act);
+                }
+                QLayer::Linear(lin) => {
+                    logits = linear(lin, &act, mult);
+                }
+            }
+        }
+        logits
+    }
+
+    pub(crate) fn predict(
+        net: &QuantizedNetwork,
+        input: &Tensor<u8>,
+        mult: &dyn Multiplier,
+    ) -> usize {
+        argmax(&forward(net, input, mult))
+    }
+
+    fn accumulate(conv: &QConv, input: &Tensor<u8>, mult: &dyn Multiplier) -> Vec<i64> {
+        const PADDING: isize = 1;
+        let hw = input.height();
+        let mut acc = vec![0i64; conv.out_channels * hw * hw];
+        for oc in 0..conv.out_channels {
+            for oy in 0..hw {
+                for ox in 0..hw {
+                    let mut sum = 0i64;
+                    for ic in 0..conv.in_channels {
+                        for ky in 0..K {
+                            for kx in 0..K {
+                                let iy = (oy + ky) as isize - PADDING;
+                                let ix = (ox + kx) as isize - PADDING;
+                                if iy < 0 || ix < 0 || iy >= hw as isize || ix >= hw as isize {
+                                    continue;
+                                }
+                                let a = *input.get(ic, iy as usize, ix as usize);
+                                let w =
+                                    conv.weights[((oc * conv.in_channels + ic) * K + ky) * K + kx];
+                                if a == 0 || w == 0 {
+                                    continue;
+                                }
+                                let p = mult.multiply(u32::from(a), w.unsigned_abs() as u32) as i64;
+                                sum += if w < 0 { -p } else { p };
+                            }
+                        }
+                    }
+                    // ReLU.
+                    acc[(oc * hw + oy) * hw + ox] = sum.max(0);
+                }
+            }
+        }
+        acc
+    }
+
+    fn requantize(conv: &QConv, acc: &[i64], hw: usize) -> Tensor<u8> {
+        let data = acc
+            .iter()
+            .map(|&v| ((v >> conv.shift).min(255)) as u8)
+            .collect();
+        Tensor::from_vec(conv.out_channels, hw, hw, data)
+    }
+
+    fn linear(lin: &QLinear, input: &Tensor<u8>, mult: &dyn Multiplier) -> Vec<i64> {
+        let flat = input.as_slice();
+        let mut out = vec![0i64; lin.out_features];
+        for (o, out_val) in out.iter_mut().enumerate() {
+            let mut sum = 0i64;
+            for (i, &a) in flat.iter().enumerate() {
+                let w = lin.weights[o * lin.in_features + i];
+                if a == 0 || w == 0 {
+                    continue;
+                }
+                let p = mult.multiply(u32::from(a), w.unsigned_abs() as u32) as i64;
+                sum += if w < 0 { -p } else { p };
+            }
+            *out_val = sum;
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use carma_multiplier::{ApproxGenome, LutMultiplier, MultiplierCircuit, ReductionKind};
+    use carma_multiplier::{
+        ApproxGenome, LutMultiplier, MultiplierCircuit, MultiplierLibrary, ReductionKind,
+    };
 
     fn random_input(seed: u64, c: usize, hw: usize) -> Tensor<u8> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -366,6 +543,46 @@ mod tests {
                 .map(|_| rng.random_range(0u32..=255) as u8)
                 .collect(),
         )
+    }
+
+    /// An arbitrary 8×8 multiplier: every product an independent
+    /// random 16-bit value — nothing like a truncation.
+    #[derive(Debug)]
+    struct RandomLut(Vec<u16>);
+
+    impl RandomLut {
+        fn new(seed: u64) -> Self {
+            let mut rng = StdRng::seed_from_u64(seed);
+            RandomLut(
+                (0..1 << 16)
+                    .map(|_| rng.random_range(0u32..=0xFFFF) as u16)
+                    .collect(),
+            )
+        }
+    }
+
+    impl Multiplier for RandomLut {
+        fn width(&self) -> u32 {
+            8
+        }
+        fn multiply(&self, a: u32, b: u32) -> u64 {
+            u64::from(self.0[(a << 8 | b) as usize])
+        }
+        fn name(&self) -> &str {
+            "random-lut"
+        }
+    }
+
+    /// Asserts the table kernel reproduces the scalar oracle's logits
+    /// and prediction on `input`.
+    fn assert_matches_oracle(net: &QuantizedNetwork, input: &Tensor<u8>, mult: &dyn Multiplier) {
+        let table = ProductTable::new(mult);
+        let fast = net.forward(input, &table);
+        assert_eq!(fast, oracle::forward(net, input, mult), "{}", mult.name());
+        assert_eq!(
+            net.predict(input, &table),
+            oracle::predict(net, input, mult)
+        );
     }
 
     #[test]
@@ -382,7 +599,7 @@ mod tests {
     fn forward_is_deterministic() {
         let net = QuantizedNetwork::synthetic(16, 10, 2);
         let input = random_input(3, 3, 16);
-        let exact = ExactMultiplier::new(8);
+        let exact = ProductTable::new(&ExactMultiplier::new(8));
         let a = net.forward(&input, &exact);
         let b = net.forward(&input, &exact);
         assert_eq!(a, b);
@@ -393,9 +610,9 @@ mod tests {
     fn lut_exact_matches_reference_exact() {
         let net = QuantizedNetwork::synthetic(16, 10, 3);
         let input = random_input(4, 3, 16);
-        let exact = ExactMultiplier::new(8);
+        let exact = ProductTable::new(&ExactMultiplier::new(8));
         let circuit = MultiplierCircuit::generate(8, ReductionKind::Dadda);
-        let lut = LutMultiplier::compile(&circuit);
+        let lut = ProductTable::new(&LutMultiplier::compile(&circuit));
         assert_eq!(net.forward(&input, &exact), net.forward(&input, &lut));
     }
 
@@ -403,9 +620,11 @@ mod tests {
     fn approximate_multiplier_perturbs_logits() {
         let net = QuantizedNetwork::synthetic(16, 10, 4);
         let input = random_input(5, 3, 16);
-        let exact = ExactMultiplier::new(8);
+        let exact = ProductTable::new(&ExactMultiplier::new(8));
         let base = MultiplierCircuit::generate(8, ReductionKind::Dadda);
-        let approx = LutMultiplier::compile(&ApproxGenome::truncation(4, 4).apply(&base));
+        let approx = ProductTable::new(&LutMultiplier::compile(
+            &ApproxGenome::truncation(4, 4).apply(&base),
+        ));
         let l_exact = net.forward(&input, &exact);
         let l_approx = net.forward(&input, &approx);
         assert_ne!(l_exact, l_approx, "4-bit truncation must move logits");
@@ -421,7 +640,7 @@ mod tests {
     fn predict_returns_class_index() {
         let net = QuantizedNetwork::synthetic(16, 7, 5);
         let input = random_input(6, 3, 16);
-        let exact = ExactMultiplier::new(8);
+        let exact = ProductTable::new(&ExactMultiplier::new(8));
         let c = net.predict(&input, &exact);
         assert!(c < 7);
     }
@@ -433,8 +652,7 @@ mod tests {
         // (saturation would flatten everything to 255 or 0).
         let net = QuantizedNetwork::synthetic(16, 10, 6);
         let input = random_input(7, 3, 16);
-        let exact = ExactMultiplier::new(8);
-        let logits = net.forward(&input, &exact);
+        let logits = net.forward(&input, &ProductTable::new(&ExactMultiplier::new(8)));
         let all_same = logits.windows(2).all(|w| w[0] == w[1]);
         assert!(!all_same, "logits flat: {logits:?}");
     }
@@ -456,15 +674,117 @@ mod tests {
     #[test]
     #[should_panic(expected = "engine requires an 8-bit multiplier")]
     fn non_8bit_multiplier_rejected() {
-        let net = QuantizedNetwork::synthetic(16, 10, 8);
-        let input = random_input(9, 3, 16);
-        let m4 = ExactMultiplier::new(4);
-        let _ = net.forward(&input, &m4);
+        let _ = ProductTable::new(&ExactMultiplier::new(4));
     }
 
     #[test]
     #[should_panic(expected = "input_hw must be a positive multiple of 4")]
     fn bad_input_size_rejected() {
         let _ = QuantizedNetwork::synthetic(10, 10, 0);
+    }
+
+    #[test]
+    fn table_folds_sign_and_zeroes_operand_zero() {
+        let lut = RandomLut::new(1);
+        let table = ProductTable::new(&lut);
+        for w in i8::MIN..=i8::MAX {
+            for a in 0..=255u8 {
+                let expected = if w == 0 || a == 0 {
+                    0
+                } else {
+                    let p = lut.multiply(u32::from(a), u32::from(w.unsigned_abs())) as i32;
+                    if w < 0 {
+                        -p
+                    } else {
+                        p
+                    }
+                };
+                assert_eq!(table.row(w)[usize::from(a)], expected, "w={w} a={a}");
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_oracle_on_random_luts() {
+        for seed in 0..4 {
+            let net = QuantizedNetwork::synthetic(16, 10, 10 + seed);
+            let lut = RandomLut::new(100 + seed);
+            for sample in 0..3 {
+                assert_matches_oracle(&net, &random_input(1000 * seed + sample, 3, 16), &lut);
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_oracle_on_truncations_and_other_sizes() {
+        let base = MultiplierCircuit::generate(8, ReductionKind::Dadda);
+        for (hw, classes) in [(16, 16), (8, 3), (4, 2)] {
+            let net = QuantizedNetwork::synthetic(hw, classes, hw as u64);
+            for t in [0, 2, 5, 7] {
+                let lut = LutMultiplier::compile(&ApproxGenome::truncation(t, t).apply(&base));
+                assert_matches_oracle(&net, &random_input(u64::from(t), 3, hw), &lut);
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_oracle_with_weight_minus_128() {
+        // The synthetic generator never draws −128; plant it in every
+        // layer so the table row of |w| = 128 is exercised.
+        let mut net = QuantizedNetwork::synthetic(16, 10, 21);
+        for layer in &mut net.layers {
+            let weights = match layer {
+                QLayer::Conv(c) => &mut c.weights,
+                QLayer::Linear(l) => &mut l.weights,
+                QLayer::MaxPool => continue,
+            };
+            for w in weights.iter_mut().step_by(7) {
+                *w = i8::MIN;
+            }
+        }
+        let lut = RandomLut::new(22);
+        assert_matches_oracle(&net, &random_input(23, 3, 16), &lut);
+        assert_matches_oracle(&net, &random_input(24, 3, 16), &ExactMultiplier::new(8));
+    }
+
+    #[test]
+    fn kernel_matches_oracle_on_zero_activation_rows() {
+        let net = QuantizedNetwork::synthetic(16, 10, 31);
+        let lut = RandomLut::new(32);
+        // Every other row zero, in every channel — borders included.
+        let mut striped = random_input(33, 3, 16);
+        for c in 0..3 {
+            for y in (0..16).step_by(2) {
+                for x in 0..16 {
+                    *striped.get_mut(c, y, x) = 0;
+                }
+            }
+        }
+        assert_matches_oracle(&net, &striped, &lut);
+        assert_matches_oracle(&net, &Tensor::zeros(3, 16, 16), &lut);
+    }
+
+    #[test]
+    fn kernel_matches_oracle_on_imported_library_entries() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../examples/libraries/approx8.v"
+        );
+        let text = std::fs::read_to_string(path).expect("fixture exists");
+        let modules = carma_netlist::parse_netlists(&text, carma_netlist::ImportFormat::Verilog)
+            .expect("fixture parses");
+        assert!(!modules.is_empty());
+        let net = QuantizedNetwork::synthetic(16, 16, 41);
+        for (i, netlist) in modules.into_iter().enumerate() {
+            let circuit = MultiplierCircuit::from_netlist(netlist, 8);
+            let lut = LutMultiplier::compile(&circuit);
+            assert_matches_oracle(&net, &random_input(42 + i as u64, 3, 16), &lut);
+        }
+        // And a whole builtin ladder, for good measure.
+        let ladder = MultiplierLibrary::truncation_ladder(8, 2);
+        for entry in ladder.entries() {
+            let lut = LutMultiplier::compile(&entry.circuit);
+            assert_matches_oracle(&net, &random_input(43, 3, 16), &lut);
+        }
     }
 }

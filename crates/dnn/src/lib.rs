@@ -13,7 +13,8 @@
 //!   a quantized (8-bit, sign-magnitude) inference engine in which
 //!   every product is served by a pluggable
 //!   [`Multiplier`](carma_multiplier::Multiplier) — exact or
-//!   LUT-approximate — plus the synthetic-ImageNet accuracy-drop
+//!   LUT-approximate — tabulated once into a signed product table,
+//!   plus the synthetic-ImageNet accuracy-drop
 //!   evaluation described in DESIGN.md §4.
 //!
 //! ## Example
@@ -28,14 +29,12 @@
 //! ```
 
 pub mod accuracy;
-pub mod analytic;
 pub mod engine;
 pub mod layer;
 pub mod model;
 pub mod tensor;
 
 pub use accuracy::{AccuracyEvaluator, AccuracyReport, EvaluatorConfig};
-pub use analytic::AnalyticAccuracyModel;
 pub use engine::QuantizedNetwork;
 pub use layer::{Layer, LayerKind};
 pub use model::DnnModel;

@@ -8,8 +8,12 @@
 //!
 //! - **library** — `(family, width, depth/config)` → characterized
 //!   multiplier library,
+//! - **accuracy** — `(library key, calibration)` → accuracy-drop table
+//!   (node-independent: one behavioural characterization serves every
+//!   node's context),
 //! - **context** — `(library key, node, calibration)` → accuracy-drop
-//!   table + perf-cache seed,
+//!   table + perf-cache seed, computed from the accuracy stage on a
+//!   miss,
 //! - **cell** — `(context key, carbon model, model, objective/GA spec,
 //!   seed)` → one sweep or GA result,
 //!
@@ -38,13 +42,17 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The three stages of the memoized compute graph, in dependency
-/// order: a context key embeds its library key, a cell key embeds its
-/// context key.
+/// The four stages of the memoized compute graph, in dependency
+/// order: accuracy and context keys embed their library key, a cell
+/// key embeds its context key, and a context miss reads the accuracy
+/// stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Characterized multiplier library (family × width × depth).
     Library,
+    /// Node-independent accuracy-drop table of a library under one
+    /// evaluator calibration.
+    Accuracy,
     /// Per-node evaluation context seed: accuracy-drop table plus
     /// performance-cache entries.
     Context,
@@ -55,13 +63,14 @@ pub enum Stage {
 
 impl Stage {
     /// All stages, in display order.
-    pub const ALL: [Stage; 3] = [Stage::Library, Stage::Context, Stage::Cell];
+    pub const ALL: [Stage; 4] = [Stage::Library, Stage::Accuracy, Stage::Context, Stage::Cell];
 
     /// Stable lowercase name — used as the on-disk subdirectory and in
     /// metrics labels.
     pub fn as_str(self) -> &'static str {
         match self {
             Stage::Library => "library",
+            Stage::Accuracy => "accuracy",
             Stage::Context => "context",
             Stage::Cell => "cell",
         }
@@ -70,8 +79,9 @@ impl Stage {
     fn index(self) -> usize {
         match self {
             Stage::Library => 0,
-            Stage::Context => 1,
-            Stage::Cell => 2,
+            Stage::Accuracy => 1,
+            Stage::Context => 2,
+            Stage::Cell => 3,
         }
     }
 
@@ -79,6 +89,7 @@ impl Stage {
     pub fn span_name(self) -> &'static str {
         match self {
             Stage::Library => "memo.library",
+            Stage::Accuracy => "memo.accuracy",
             Stage::Context => "memo.context",
             Stage::Cell => "memo.cell",
         }
@@ -102,6 +113,8 @@ pub struct StageCounts {
 pub struct MemoStats {
     /// Library-stage counters.
     pub library: StageCounts,
+    /// Accuracy-stage counters.
+    pub accuracy: StageCounts,
     /// Context-stage counters.
     pub context: StageCounts,
     /// Cell-stage counters.
@@ -113,6 +126,7 @@ impl MemoStats {
     pub fn stage(&self, stage: Stage) -> StageCounts {
         match stage {
             Stage::Library => self.library,
+            Stage::Accuracy => self.accuracy,
             Stage::Context => self.context,
             Stage::Cell => self.cell,
         }
@@ -170,7 +184,7 @@ pub fn fingerprint(canon: &str) -> String {
 pub struct MemoStore {
     shards: [Mutex<MemoShard>; MEMO_SHARDS],
     dir: Option<PathBuf>,
-    counters: [StageAtomics; 3],
+    counters: [StageAtomics; Stage::ALL.len()],
     in_flight: Mutex<HashMap<String, Arc<Mutex<()>>>>,
 }
 
@@ -213,6 +227,7 @@ impl MemoStore {
     pub fn stats(&self) -> MemoStats {
         MemoStats {
             library: self.counters[Stage::Library.index()].snapshot(),
+            accuracy: self.counters[Stage::Accuracy.index()].snapshot(),
             context: self.counters[Stage::Context.index()].snapshot(),
             cell: self.counters[Stage::Cell.index()].snapshot(),
         }
@@ -456,7 +471,9 @@ mod tests {
         let store = MemoStore::in_memory();
         let a = store.get_or_compute(Stage::Library, "same", encode_u32, decode_u32, || 1u32);
         let b = store.get_or_compute(Stage::Cell, "same", encode_u32, decode_u32, || 2u32);
-        assert_eq!((*a, *b), (1, 2));
+        let c = store.get_or_compute(Stage::Accuracy, "same", encode_u32, decode_u32, || 3u32);
+        assert_eq!((*a, *b, *c), (1, 2, 3));
+        assert_eq!(store.stats().accuracy.misses, 1);
     }
 
     #[test]

@@ -120,7 +120,7 @@ impl Metrics {
 ///
 /// `cache` is `(hits, misses, entries)`, `queue` is
 /// `(queued, running, completed, failed)`, `memo` is the stage-level
-/// memo counters (library/context/cell hits and misses).
+/// memo counters (library/accuracy/context/cell hits and misses).
 pub fn render(
     metrics: &Metrics,
     cache: (u64, u64, usize),

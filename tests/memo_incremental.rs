@@ -22,6 +22,14 @@ fn small_fig2() -> ScenarioSpec {
     spec
 }
 
+/// A small table1 variant: three node contexts over one library.
+fn small_table1() -> ScenarioSpec {
+    let mut spec = ScenarioSpec::named("table1").with_scale(Scale::Quick);
+    spec.library_depth = Some(2);
+    spec.accuracy_samples = Some(32);
+    spec
+}
+
 fn run(env: &RunEnv, spec: &ScenarioSpec) -> Report {
     ExperimentRegistry::standard()
         .run_with_env(spec, None, None, env)
@@ -238,4 +246,63 @@ fn poisoned_disk_entries_are_recomputed_never_served() {
         assert!(c.misses >= 1, "{stage} never recomputed: {s:?}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn table1_characterizes_its_library_once_across_nodes() {
+    let env = RunEnv::standard();
+    run(&env, &small_table1());
+    let s = stats(&env);
+    assert_eq!(
+        (s.accuracy.hits, s.accuracy.misses),
+        (2, 1),
+        "three nodes must share one characterization: {s:?}"
+    );
+    assert_eq!((s.context.hits, s.context.misses), (0, 3), "{s:?}");
+
+    // Another node of the same library: a new context, no new
+    // characterization.
+    let env = RunEnv::standard();
+    run(&env, &small_fig2());
+    let before = stats(&env);
+    run(&env, &small_fig2().with_node("14nm"));
+    let after = stats(&env);
+    assert_eq!(after.context.misses - before.context.misses, 1);
+    assert_eq!(after.accuracy.misses - before.accuracy.misses, 0);
+    assert_eq!(after.accuracy.hits - before.accuracy.hits, 1);
+}
+
+#[test]
+fn table1_reports_are_identical_memo_on_off_warm_cold_and_threads() {
+    let spec = small_table1();
+    let registry = ExperimentRegistry::standard();
+    let reference = run(&RunEnv::bare(), &spec).to_json();
+
+    let env = RunEnv::standard();
+    let cold = run(&env, &spec).to_json();
+    let warm = run(&env, &spec).to_json();
+    assert_eq!(reference, cold, "memo-on cold changed the report");
+    assert_eq!(reference, warm, "memo-on warm changed the report");
+
+    let dir = scratch_dir("table1");
+    let fill = RunEnv::with_memo(MemoLayer::with_disk(dir.clone()).expect("open memo dir"));
+    assert_eq!(reference, run(&fill, &spec).to_json(), "disk cold");
+    drop(fill);
+    let disk = RunEnv::with_memo(MemoLayer::with_disk(dir.clone()).expect("reopen memo dir"));
+    assert_eq!(reference, run(&disk, &spec).to_json(), "disk warm");
+    assert_eq!(
+        stats(&disk).accuracy,
+        Default::default(),
+        "context hits skip accuracy"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+
+    for threads in [1, 3] {
+        for env in [RunEnv::bare(), RunEnv::standard()] {
+            let report = registry
+                .run_with_env(&spec, None, Some(threads), &env)
+                .expect("scenario runs");
+            assert_eq!(reference, report.to_json(), "threads = {threads}");
+        }
+    }
 }

@@ -99,3 +99,48 @@ fn memo_spans_carry_hit_and_miss_annotations() {
         "repeat memo stages must record `hit`: {annotations:?}"
     );
 }
+
+#[test]
+fn accuracy_work_is_labelled_and_counted() {
+    let (trace, _) = traced_run(2);
+    let work = |name: &str| -> Vec<u64> {
+        trace
+            .spans
+            .iter()
+            .filter(|s| s.name == name)
+            .map(|s| {
+                let label = s.label.as_deref().expect("work spans carry a label");
+                label
+                    .split(' ')
+                    .find_map(|part| part.strip_prefix("n=")?.parse().ok())
+                    .unwrap_or_else(|| panic!("`{name}` label without n=: {label}"))
+            })
+            .collect()
+    };
+    assert!(trace.spans.iter().any(|s| s.name == "memo.accuracy"));
+    let entries = work("accuracy.entry");
+    let reference = work("accuracy.reference");
+    assert!(!entries.is_empty() && reference.len() == 1);
+    assert!(trace
+        .spans
+        .iter()
+        .filter(|s| s.name == "accuracy.entry")
+        .all(|s| s.label.as_deref().is_some_and(|l| l.starts_with("mult="))));
+    // Every emulated MAC sits in exactly one labelled span, and the
+    // counters agree with the labels.
+    let counter = |name: &str| {
+        trace
+            .counters
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, v)| v)
+            .unwrap_or_else(|| panic!("no `{name}` counter"))
+    };
+    let labelled: u64 = entries.iter().chain(&reference).sum();
+    assert_eq!(counter("dnn.macs"), labelled);
+    assert_eq!(
+        counter("dnn.samples"),
+        32 * (entries.len() as u64 + 1),
+        "32 samples per run"
+    );
+}

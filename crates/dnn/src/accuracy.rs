@@ -221,9 +221,10 @@ impl AccuracyEvaluator {
     /// multipliers into the paper's 0.5 % / 1.0 % / 2.0 % classes.
     ///
     /// Library members are scored in parallel on the `carma-exec`
-    /// pool; each member's task compiles its LUT, tabulates it, runs
-    /// every sample and drops both tables, so at most one table per
-    /// worker is resident. Results stay in library order.
+    /// pool; each member's task tabulates its circuit straight from
+    /// the netlist's truth table, runs every sample and drops the
+    /// table, so at most one table per worker is resident. Results
+    /// stay in library order.
     pub fn evaluate_library<'lib>(
         &self,
         library: &'lib MultiplierLibrary,
@@ -236,8 +237,7 @@ impl AccuracyEvaluator {
                 0.0
             } else {
                 let _span = carma_trace::span!("accuracy.entry", "mult={} n={macs}", entry.name);
-                let table =
-                    ProductTable::new(&carma_multiplier::LutMultiplier::compile(&entry.circuit));
+                let table = ProductTable::from_circuit(&entry.circuit);
                 self.drop_with(&table)
             };
             (entry, drop)

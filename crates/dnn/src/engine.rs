@@ -21,8 +21,10 @@
 //! per `u8` activation, with the weight sign folded in —
 //! `row(w)[a] = sign(w) · m(a, |w|)`. Row 0 and column 0 are zero, so
 //! zero operands contribute nothing, exactly as if skipped. The table
-//! holds 64 Ki entries (256 KB) and costs 65 536 multiplier calls to
-//! build, about half of one forward pass of the reference network.
+//! holds 64 Ki entries (256 KB). A library circuit's table is read
+//! straight off its exhaustive truth table: weight magnitudes reach
+//! only 128, so rows need the first 33 024 of its 65 536 entries, and
+//! no intermediate LUT is built.
 //!
 //! Convolutions run weight-stationary over zero-padded activations.
 //! For each input channel, the nine kernel weights' table rows are
@@ -38,7 +40,8 @@
 
 use std::borrow::Cow;
 
-use carma_multiplier::{ExactMultiplier, Multiplier};
+use carma_multiplier::{ExactMultiplier, Multiplier, MultiplierCircuit};
+use carma_netlist::LaneSim;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -61,18 +64,44 @@ impl ProductTable {
     /// product wider than the 16 bits of an 8×8 product.
     pub(crate) fn new(mult: &dyn Multiplier) -> Self {
         assert_eq!(mult.width(), 8, "engine requires an 8-bit multiplier");
+        Self::tabulate(|magnitude| std::array::from_fn(|a| mult.multiply(a as u32, magnitude)))
+    }
+
+    /// Tabulates an 8-bit multiplier circuit from its truth table: the
+    /// products with weight magnitude `m` are the 256 entries from
+    /// `m << 8` on.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`new`](Self::new).
+    pub(crate) fn from_circuit(circuit: &MultiplierCircuit) -> Self {
+        assert_eq!(circuit.width(), 8, "engine requires an 8-bit multiplier");
+        let sim = LaneSim::new(circuit.netlist());
+        Self::tabulate(|magnitude| {
+            let mut products = [0u32; 256];
+            sim.fill_truth_table(u64::from(magnitude) << 8, &mut products);
+            products.map(u64::from)
+        })
+    }
+
+    /// Builds the table from `products(m)[a] = m(a, m)` for every
+    /// weight magnitude `m` in `1..=128`.
+    fn tabulate(mut products: impl FnMut(u32) -> [u64; 256]) -> Self {
         let mut rows: Box<[[i32; 256]; 256]> = vec![[0i32; 256]; 256]
             .into_boxed_slice()
             .try_into()
             .expect("256 rows");
-        for w in (i8::MIN..=i8::MAX).filter(|&w| w != 0) {
-            let row = &mut rows[usize::from(w as u8)];
-            let magnitude = u32::from(w.unsigned_abs());
-            for a in 1..=255u8 {
-                let p = u16::try_from(mult.multiply(u32::from(a), magnitude))
-                    .map(i32::from)
-                    .expect("an 8×8 product fits in 16 bits");
-                row[usize::from(a)] = if w < 0 { -p } else { p };
+        for magnitude in 1..=128u32 {
+            let column = products(magnitude);
+            let m = magnitude as i32;
+            for w in [m, -m].into_iter().filter_map(|w| i8::try_from(w).ok()) {
+                let row = &mut rows[usize::from(w as u8)];
+                for a in 1..=255 {
+                    let p = u16::try_from(column[a])
+                        .map(i32::from)
+                        .expect("an 8×8 product fits in 16 bits");
+                    row[a] = if w < 0 { -p } else { p };
+                }
             }
         }
         ProductTable { rows }
@@ -681,6 +710,32 @@ mod tests {
     #[should_panic(expected = "input_hw must be a positive multiple of 4")]
     fn bad_input_size_rejected() {
         let _ = QuantizedNetwork::synthetic(10, 10, 0);
+    }
+
+    #[test]
+    fn circuit_table_matches_lut_tabulation() {
+        let base = MultiplierCircuit::generate(8, ReductionKind::Dadda);
+        let modules = carma_netlist::parse_netlists(
+            include_str!("../../../examples/libraries/approx8.v"),
+            carma_netlist::ImportFormat::Verilog,
+        )
+        .unwrap();
+        let circuits = [
+            base.clone(),
+            ApproxGenome::truncation(2, 3).apply(&base),
+            carma_multiplier::families::broken_array(8, 6, ReductionKind::Wallace),
+        ]
+        .into_iter()
+        .chain(
+            modules
+                .into_iter()
+                .map(|nl| MultiplierCircuit::from_netlist(nl, 8)),
+        );
+        for circuit in circuits {
+            let via_lut = ProductTable::new(&LutMultiplier::compile(&circuit));
+            let direct = ProductTable::from_circuit(&circuit);
+            assert!(via_lut.rows == direct.rows, "{}", circuit.netlist().name());
+        }
     }
 
     #[test]

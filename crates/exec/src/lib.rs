@@ -1,7 +1,7 @@
 //! # carma-exec
 //!
 //! The CARMA execution engine: a deterministic, dependency-free
-//! parallel-map built on `std::thread::scope`, shared by every
+//! parallel-map over a persistent worker pool, shared by every
 //! evaluation layer of the workspace (GA/NSGA-II population
 //! evaluation, multiplier-library characterization, `ErrorProfile`
 //! sweeps, the CDP flow and the bench binaries).
@@ -52,6 +52,13 @@
 //! static chunking would. Because results are written by input index,
 //! this dynamic schedule has no observable effect on outputs.
 //!
+//! The calling thread claims items too. Pool workers are spawned on
+//! first need and then live for the process, so a dispatch costs a
+//! queue push and a wake-up rather than a thread spawn; once the
+//! cursor is exhausted the caller withdraws helper tasks no worker
+//! has picked up, so a small batch never waits for a busy or
+//! descheduled worker.
+//!
 //! ```
 //! use carma_exec::{par_map, with_threads};
 //!
@@ -64,9 +71,13 @@
 //! assert_eq!(wide, narrow);
 //! ```
 
+use std::any::Any;
 use std::cell::Cell;
+use std::collections::VecDeque;
+use std::marker::PhantomData;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 thread_local! {
     /// Set while the current thread is a pool worker: nested `par_map`
@@ -207,13 +218,13 @@ where
     dispatch(n, f)
 }
 
-/// The engine: evaluates `f` on every index in `0..n` across the
-/// resolved number of scoped workers and returns the results in index
-/// order. The calling thread participates as a worker (only
-/// `threads - 1` OS threads are spawned, and the caller never idles in
-/// a pure join), which keeps the fixed overhead of small batches to a
-/// single spawn at `threads = 2`. Worker panics are propagated to the
-/// caller after the scope joins.
+/// The engine: evaluates `f` on every index in `0..n` on the calling
+/// thread plus up to `threads - 1` persistent pool workers, and returns
+/// the results in index order. The caller claims items too and never
+/// idles in a pure join: once the cursor is exhausted it withdraws the
+/// helper tasks no worker has picked up yet and waits only for those
+/// already running, so a batch never waits for a worker to be woken
+/// or scheduled. Worker panics are propagated to the caller.
 fn dispatch<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -225,8 +236,8 @@ where
     }
 
     let cursor = AtomicUsize::new(0);
+    let claimed: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
     let work_loop = || {
-        IN_WORKER.with(|w| w.set(true));
         let mut local = Vec::new();
         loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -235,53 +246,198 @@ where
             }
             local.push((i, f(i)));
         }
-        local
+        lock(&claimed).append(&mut local);
     };
-
-    // Spawned workers start with empty thread-locals, so the caller's
-    // tracing context is captured here and re-installed on each one —
+    // Workers start with empty thread-locals, so the caller's tracing
+    // context is captured here and re-installed for each helper task —
     // spans opened inside `f` parent under the span active at the
     // dispatch call, whatever thread they land on. `None` when tracing
-    // is off; propagating that is free. The caller keeps its own
-    // context and runs `work_loop` directly.
+    // is off; propagating that is free.
     let ambient = carma_trace::ambient();
-    let mut buckets: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads - 1)
-            .map(|_| {
-                let ambient = ambient.clone();
-                s.spawn(move || carma_trace::with_ambient(ambient, work_loop))
-            })
-            .collect();
-        // `work_loop` flags the caller as in-worker too (suppressing
-        // nested parallelism inside `f`); clear it afterwards, on
-        // unwind included — a caller that reaches dispatch() was not a
-        // worker, or current_threads() would have been 1.
-        let own = {
-            struct ClearWorkerFlag;
-            impl Drop for ClearWorkerFlag {
-                fn drop(&mut self) {
-                    IN_WORKER.with(|w| w.set(false));
-                }
+    let helper = || carma_trace::with_ambient(ambient.clone(), work_loop);
+    let batch = Pool::global().submit(threads - 1, &helper);
+    {
+        // `work_loop` runs with the caller flagged in-worker
+        // (suppressing nested parallelism inside `f`); clear it
+        // afterwards, on unwind included — a caller that reaches
+        // dispatch() was not a worker, or current_threads() would
+        // have been 1.
+        struct ClearWorkerFlag;
+        impl Drop for ClearWorkerFlag {
+            fn drop(&mut self) {
+                IN_WORKER.with(|w| w.set(false));
             }
-            let _clear = ClearWorkerFlag;
-            work_loop()
-        };
-        let mut all = vec![own];
-        all.extend(handles.into_iter().map(|h| match h.join() {
-            Ok(v) => v,
-            Err(payload) => std::panic::resume_unwind(payload),
-        }));
-        all
-    });
+        }
+        let _clear = ClearWorkerFlag;
+        IN_WORKER.with(|w| w.set(true));
+        work_loop();
+    }
+    if let Some(payload) = batch.finish() {
+        std::panic::resume_unwind(payload);
+    }
 
     let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for (i, r) in buckets.drain(..).flatten() {
+    for (i, r) in claimed.into_inner().unwrap_or_else(PoisonError::into_inner) {
         debug_assert!(out[i].is_none(), "index {i} computed twice");
         out[i] = Some(r);
     }
     out.into_iter()
         .map(|slot| slot.expect("every index claimed exactly once"))
         .collect()
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+type Payload = Box<dyn Any + Send>;
+
+/// Completion count and first panic of one dispatch's helper tasks.
+#[derive(Default)]
+struct Latch {
+    state: Mutex<(usize, Option<Payload>)>,
+    done: Condvar,
+}
+
+/// One helper task: a dispatch's claim loop, lifetime-erased. The
+/// dispatch's [`Batch`] guarantees the closure outlives every run.
+struct Task {
+    batch: u64,
+    run: &'static (dyn Fn() + Sync),
+    latch: Arc<Latch>,
+}
+
+#[derive(Default)]
+struct PoolState {
+    queue: VecDeque<Task>,
+    workers: usize,
+    next_batch: u64,
+}
+
+/// The process-wide pool: worker threads spawned on first need (up to
+/// the widest dispatch so far) that live for the rest of the process,
+/// blocked on the task queue when idle.
+#[derive(Default)]
+struct Pool {
+    state: Mutex<PoolState>,
+    ready: Condvar,
+}
+
+impl Pool {
+    fn global() -> &'static Pool {
+        static POOL: OnceLock<Pool> = OnceLock::new();
+        POOL.get_or_init(Pool::default)
+    }
+
+    /// Queues `helpers` runs of `run`, growing the pool to at least
+    /// `helpers` workers.
+    fn submit<'a>(&'static self, helpers: usize, run: &'a (dyn Fn() + Sync + 'a)) -> Batch<'a> {
+        // SAFETY: the returned `Batch` withdraws or waits out every
+        // queued run before it is dropped, and it borrows `run` for
+        // 'a, so no worker touches `run` after the borrow ends.
+        let run: &'static (dyn Fn() + Sync) = unsafe { std::mem::transmute(run) };
+        let latch = Arc::new(Latch::default());
+        let mut state = lock(&self.state);
+        let batch = state.next_batch;
+        state.next_batch += 1;
+        while state.workers < helpers {
+            state.workers += 1;
+            std::thread::Builder::new()
+                .name(format!("carma-exec-{}", state.workers))
+                .spawn(move || self.work())
+                .expect("spawn carma-exec worker");
+        }
+        state.queue.extend((0..helpers).map(|_| Task {
+            batch,
+            run,
+            latch: Arc::clone(&latch),
+        }));
+        drop(state);
+        if helpers == 1 {
+            self.ready.notify_one();
+        } else {
+            self.ready.notify_all();
+        }
+        Batch {
+            pool: self,
+            id: batch,
+            helpers,
+            latch,
+            _run: PhantomData,
+        }
+    }
+
+    fn work(&self) {
+        IN_WORKER.with(|w| w.set(true));
+        loop {
+            let task = {
+                let mut state = lock(&self.state);
+                loop {
+                    if let Some(task) = state.queue.pop_front() {
+                        break task;
+                    }
+                    state = self
+                        .ready
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+            };
+            let result = std::panic::catch_unwind(AssertUnwindSafe(task.run));
+            let mut done = lock(&task.latch.state);
+            done.0 += 1;
+            if let Err(payload) = result {
+                done.1.get_or_insert(payload);
+            }
+            drop(done);
+            task.latch.done.notify_all();
+        }
+    }
+}
+
+/// The caller's handle on its queued helper tasks.
+struct Batch<'a> {
+    pool: &'static Pool,
+    id: u64,
+    helpers: usize,
+    latch: Arc<Latch>,
+    _run: PhantomData<&'a ()>,
+}
+
+impl Batch<'_> {
+    /// Withdraws the tasks no worker has started, waits for the rest,
+    /// and returns the first helper panic.
+    fn finish(mut self) -> Option<Payload> {
+        self.settle()
+    }
+
+    fn settle(&mut self) -> Option<Payload> {
+        let started = {
+            let mut state = lock(&self.pool.state);
+            let queued = state.queue.len();
+            state.queue.retain(|t| t.batch != self.id);
+            self.helpers - (queued - state.queue.len())
+        };
+        self.helpers = 0;
+        let mut done = lock(&self.latch.state);
+        while done.0 < started {
+            done = self
+                .latch
+                .done
+                .wait(done)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        done.1.take()
+    }
+}
+
+impl Drop for Batch<'_> {
+    /// On unwind out of the caller's own share, still wait out the
+    /// helpers before the borrowed closure goes away.
+    fn drop(&mut self) {
+        if self.helpers > 0 {
+            self.settle();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -339,8 +495,8 @@ mod tests {
     #[test]
     fn nested_par_map_runs_serially_not_exponentially() {
         // 8 outer × nested inner: the inner calls must degrade to
-        // serial (IN_WORKER), so this completes with ≤ 8 spawned
-        // threads instead of 64 — and still returns ordered results.
+        // serial (IN_WORKER), so this completes with ≤ 7 pool workers
+        // instead of 63 — and still returns ordered results.
         let outer = with_threads(8, || par_gen(8, |i| par_gen(8, move |j| i * 10 + j)));
         for (i, inner) in outer.iter().enumerate() {
             assert_eq!(*inner, (0..8).map(|j| i * 10 + j).collect::<Vec<_>>());
@@ -378,6 +534,24 @@ mod tests {
         assert!(!IN_WORKER.with(Cell::get));
         let ok = with_threads(4, || par_gen(8, |i| i));
         assert_eq!(ok, (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn concurrent_callers_share_the_pool() {
+        // Several non-worker threads dispatching at once: every batch
+        // comes back complete and ordered, and the pool never grows
+        // past the widest dispatch.
+        std::thread::scope(|s| {
+            for t in 0..4usize {
+                s.spawn(move || {
+                    for round in 0..50usize {
+                        let v = with_threads(3, || par_gen(round % 7 + 1, |i| i * t));
+                        assert_eq!(v, (0..round % 7 + 1).map(|i| i * t).collect::<Vec<_>>());
+                    }
+                });
+            }
+        });
+        assert!(lock(&Pool::global().state).workers <= 7);
     }
 
     #[test]

@@ -231,14 +231,15 @@ pub fn parse_library(
                 )],
             });
         }
-        let span = carma_trace::span!("import.admission", "{name}");
-        let is_exact =
+        let mut span = carma_trace::span!("import.admission", "{name}");
+        let (is_exact, vectors) =
             admit(&nl, width, exact.netlist()).map_err(|diagnostics| ImportFailure::Rejected {
                 path: origin.to_string(),
                 module: name.clone(),
                 diagnostics,
             })?;
         span.annotate(if is_exact { "exact" } else { "approximate" });
+        span.relabel(|| format!("{name} n={vectors}"));
         modules.push(ImportedModule {
             name,
             netlist: nl,
@@ -272,9 +273,11 @@ fn infer_width(nl: &Netlist) -> Result<u32, String> {
     Ok(w)
 }
 
-/// The admission gate proper. `Ok(true)` means the module proved
-/// exhaustively equivalent to the exact reference.
-fn admit(nl: &Netlist, width: u32, exact: &Netlist) -> Result<bool, Vec<String>> {
+/// The admission gate proper. `Ok((true, _))` means the module proved
+/// exhaustively equivalent to the exact reference; the count is the
+/// vectors the equivalence check compared before its verdict (all of
+/// them, or up to and including the lowest mismatching one).
+fn admit(nl: &Netlist, width: u32, exact: &Netlist) -> Result<(bool, u64), Vec<String>> {
     let report = lint(
         nl,
         &LintOptions {
@@ -294,9 +297,16 @@ fn admit(nl: &Netlist, width: u32, exact: &Netlist) -> Result<bool, Vec<String>>
     if let Err(e) = static_error_bound(nl, exact) {
         return Err(vec![format!("static error bound unavailable: {e}")]);
     }
+    // Widths up to MAX_IMPORT_WIDTH keep the check exhaustive.
     match check_equivalence(nl, exact) {
-        Ok(Equivalence::Equivalent { .. }) => Ok(true),
-        Ok(Equivalence::Mismatch { .. }) => Ok(false),
+        Ok(Equivalence::Equivalent { .. }) => Ok((true, 1 << nl.input_count())),
+        Ok(Equivalence::Mismatch { witness }) => {
+            let lowest = witness
+                .iter()
+                .rev()
+                .fold(0u64, |v, &bit| v << 1 | u64::from(bit));
+            Ok((false, lowest + 1))
+        }
         Err(e) => Err(vec![format!("equivalence check impossible: {e:?}")]),
     }
 }

@@ -7,16 +7,19 @@
 //! accuracy model in `carma-dnn` consumes the bias/variance pair; the
 //! NSGA-II library search minimizes (area, MRED).
 //!
-//! For widths ≤ 10 the characterization is exhaustive (all 2^(2n)
-//! operand pairs, evaluated 64 pairs at a time through the lane
-//! simulator); larger widths use deterministic stratified sampling.
+//! For widths ≤ 10 the characterization is exhaustive: it reads all
+//! 2^(2n) products from the circuit's truth table, one chunk's slice
+//! at a time ([`LaneSim::fill_truth_table`]; the whole table is what a
+//! [`LutMultiplier`](crate::lut::LutMultiplier) serves). Larger widths
+//! use deterministic stratified sampling, packing 64 random pairs at a
+//! time into the lane simulator.
 //!
-//! Both sweeps run on the `carma-exec` pool: the operand space is cut
+//! Both accumulate on the `carma-exec` pool: the operand space is cut
 //! into fixed-size chunks (fixed regardless of thread count), each
-//! chunk accumulates privately — sampled chunks with an RNG stream
-//! derived from `(seed, chunk index)` — and the partial accumulators
-//! merge in chunk order. Results are therefore bit-identical at every
-//! `CARMA_THREADS` setting.
+//! chunk accumulates privately in pair order — sampled chunks with an
+//! RNG stream derived from `(seed, chunk index)` — and the partial
+//! accumulators merge in chunk order. Results are therefore
+//! bit-identical at every `CARMA_THREADS` setting.
 
 use carma_netlist::sim::{pack_bit, unpack_lane};
 use carma_netlist::LaneSim;
@@ -111,20 +114,12 @@ impl ErrorProfile {
         let chunks = total.div_ceil(CHUNK_PAIRS) as usize;
         let partials = carma_exec::par_gen(chunks, |c| {
             let start = c as u64 * CHUNK_PAIRS;
-            let end = (start + CHUNK_PAIRS).min(total);
+            let mut products = vec![0; (total - start).min(CHUNK_PAIRS) as usize];
+            sim.fill_truth_table(start, &mut products);
             let mut acc = Accumulator::new(n);
-            let mut scratch = Vec::new();
-            let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(64);
-            for pair_idx in start..end {
-                let a = pair_idx & ((1 << n) - 1);
-                let b = pair_idx >> n;
-                pairs.push((a, b));
-                if pairs.len() == 64 {
-                    eval_lane_batch(&sim, n, &pairs, &mut acc, &mut scratch);
-                    pairs.clear();
-                }
+            for (pair_idx, &approx) in (start..).zip(&products) {
+                acc.record(pair_idx & ((1 << n) - 1), pair_idx >> n, u64::from(approx));
             }
-            eval_lane_batch(&sim, n, &pairs, &mut acc, &mut scratch);
             acc
         });
         Accumulator::merge_in_order(n, partials).finish()
@@ -368,6 +363,86 @@ mod tests {
         let sampled_1 = carma_exec::with_threads(1, || ErrorProfile::sampled(&approx, 9999, 5));
         let sampled_8 = carma_exec::with_threads(8, || ErrorProfile::sampled(&approx, 9999, 5));
         assert_eq!(sampled_1, sampled_8);
+    }
+
+    /// Per-pair scalar reference of the exhaustive profile: every
+    /// product from [`MultiplierCircuit::multiply_via_netlist`], folded
+    /// in the same `CHUNK_PAIRS` chunks, pair order and merge order.
+    fn scalar_reference(circuit: &MultiplierCircuit) -> ErrorProfile {
+        let n = circuit.width();
+        let total = 1u64 << (2 * n);
+        let partials = (0..total)
+            .step_by(CHUNK_PAIRS as usize)
+            .map(|start| {
+                let mut acc = Accumulator::new(n);
+                for pair_idx in start..(start + CHUNK_PAIRS).min(total) {
+                    let (a, b) = (pair_idx & ((1 << n) - 1), pair_idx >> n);
+                    acc.record(a, b, circuit.multiply_via_netlist(a as u32, b as u32));
+                }
+                acc
+            })
+            .collect();
+        Accumulator::merge_in_order(n, partials).finish()
+    }
+
+    #[test]
+    fn exhaustive_matches_scalar_reference_bit_for_bit() {
+        use crate::approx::{Prune, PruneAction};
+        use crate::families::{broken_array, truncated_with_correction};
+
+        let base = base8();
+        let pruned = ApproxGenome {
+            truncate_a: 1,
+            truncate_b: 0,
+            prunes: [
+                (7, PruneAction::Const0),
+                (91, PruneAction::FeedA),
+                (180, PruneAction::Const1),
+                (260, PruneAction::FeedB),
+            ]
+            .into_iter()
+            .map(|(gate, action)| Prune { gate, action })
+            .collect(),
+        };
+        let mut circuits = vec![
+            // Ladder rungs, including widths whose table is a partial
+            // block (4-bit) or a partial word (2-bit).
+            ApproxGenome::truncation(1, 2).apply(&base),
+            ApproxGenome::truncation(3, 3).apply(&base),
+            ApproxGenome::truncation(1, 1)
+                .apply(&MultiplierCircuit::generate(4, ReductionKind::Array)),
+            ApproxGenome::truncation(0, 1)
+                .apply(&MultiplierCircuit::generate(2, ReductionKind::Wallace)),
+            // Classic candidates.
+            broken_array(8, 5, ReductionKind::Dadda),
+            truncated_with_correction(8, 6, ReductionKind::Dadda),
+            // An NSGA-II-style genome with gate prunes.
+            pruned.apply(&base),
+        ];
+        // The imported example library.
+        let modules = carma_netlist::parse_netlists(
+            include_str!("../../../examples/libraries/approx8.v"),
+            carma_netlist::ImportFormat::Verilog,
+        )
+        .unwrap();
+        circuits.extend(
+            modules
+                .into_iter()
+                .map(|nl| MultiplierCircuit::from_netlist(nl, 8)),
+        );
+        for circuit in &circuits {
+            let swept = ErrorProfile::exhaustive(circuit);
+            let reference = scalar_reference(circuit);
+            let name = circuit.netlist().name();
+            assert!(swept.error_rate > 0.0, "{name} should be approximate");
+            assert_eq!(swept, reference, "{name}");
+            assert_eq!(swept.mred.to_bits(), reference.mred.to_bits(), "{name}");
+            assert_eq!(
+                swept.variance.to_bits(),
+                reference.variance.to_bits(),
+                "{name}"
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use carma_netlist::sim::{pack_bit, unpack_lane};
 use carma_netlist::LaneSim;
 
 use crate::exact::MultiplierCircuit;
@@ -66,9 +65,11 @@ impl Multiplier for ExactMultiplier {
 
 /// A multiplier backed by a fully materialized lookup table.
 ///
-/// The table is built by lane-simulating the circuit over all
-/// `2^(2n)` operand pairs (for 8-bit units: 65 536 entries, 4 096 lane
-/// evaluations). The table is shared via [`Arc`] so cloning is cheap.
+/// The table is the circuit's exhaustive truth table
+/// ([`LaneSim::truth_table`]): all `2^(2n)` operand pairs swept in
+/// blocks of 1 024 vectors (for 8-bit units: 65 536 entries, 1 024
+/// 64-lane words in 64 blocks). Entry `(b << n) | a` holds `a × b`. The
+/// table is shared via [`Arc`] so cloning is cheap.
 ///
 /// ```
 /// use carma_multiplier::exact::{MultiplierCircuit, ReductionKind};
@@ -103,36 +104,10 @@ impl LutMultiplier {
             "LUT compilation supports width ≤ {}, got {n}",
             Self::MAX_WIDTH
         );
-        let entries = 1usize << (2 * n);
-        let mut table = vec![0u32; entries];
-        let sim = LaneSim::new(circuit.netlist());
-        let mut scratch = Vec::new();
-
-        let mut idx = 0usize;
-        while idx < entries {
-            let batch = (entries - idx).min(64);
-            let a_vals: Vec<u64> = (0..batch)
-                .map(|k| ((idx + k) as u64) & ((1 << n) - 1))
-                .collect();
-            let b_vals: Vec<u64> = (0..batch).map(|k| ((idx + k) as u64) >> n).collect();
-            let mut words = Vec::with_capacity(2 * n as usize);
-            for bit in 0..n {
-                words.push(pack_bit(&a_vals, bit));
-            }
-            for bit in 0..n {
-                words.push(pack_bit(&b_vals, bit));
-            }
-            let out = sim.eval_into(&words, &mut scratch);
-            for lane in 0..batch {
-                table[idx + lane] = unpack_lane(&out, lane) as u32;
-            }
-            idx += batch;
-        }
-
         LutMultiplier {
             width: n,
             name: circuit.netlist().name().to_string(),
-            table: table.into(),
+            table: LaneSim::new(circuit.netlist()).truth_table().into(),
         }
     }
 

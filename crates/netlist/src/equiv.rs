@@ -3,13 +3,14 @@
 //! After an approximation transform (and especially after [`sweep`]),
 //! one wants proof that a rewrite preserved — or a measure of how it
 //! changed — the function. [`check_equivalence`] compares two netlists
-//! with identical port interfaces: exhaustively for ≤ 20 inputs (via
-//! the 64-lane simulator), by seeded random sampling beyond that.
+//! with identical port interfaces: exhaustively for ≤ 20 inputs (both
+//! netlists swept block by block in vector order, stopping at the
+//! first block that differs), by seeded random sampling beyond that.
 //!
 //! [`sweep`]: crate::Netlist::sweep
 
 use crate::netlist::Netlist;
-use crate::sim::{pack_bit, LaneSim};
+use crate::sim::{pack_bit, LaneSim, BLOCK_WORDS, WORD_LANES};
 
 /// Input-count limit for exhaustive checking (2^20 ≈ 1M vectors).
 const EXHAUSTIVE_INPUT_LIMIT: usize = 20;
@@ -123,27 +124,53 @@ pub fn check_equivalence(left: &Netlist, right: &Netlist) -> Result<Equivalence,
     }
     let n_inputs = left.input_count();
     if n_inputs <= EXHAUSTIVE_INPUT_LIMIT {
-        Ok(check_vectors(
-            left,
-            right,
-            ExhaustiveVectors::new(n_inputs),
-            true,
-        ))
+        Ok(check_exhaustive(left, right))
     } else {
         Ok(check_vectors(
             left,
             right,
             SampledVectors::new(n_inputs, SAMPLE_VECTORS),
-            false,
         ))
     }
+}
+
+/// Sweeps both netlists over every input vector, block by block, and
+/// returns the lowest mismatching vector as the witness.
+fn check_exhaustive(left: &Netlist, right: &Netlist) -> Equivalence {
+    let lsim = LaneSim::new(left);
+    let rsim = LaneSim::new(right);
+    let (mut lscratch, mut rscratch) = (Vec::new(), Vec::new());
+    let (mut lout, mut rout) = (Vec::new(), Vec::new());
+    for block in 0..lsim.block_count() {
+        lsim.eval_block(block, &mut lscratch, &mut lout);
+        rsim.eval_block(block, &mut rscratch, &mut rout);
+        for w in 0..BLOCK_WORDS {
+            let diff = lout
+                .iter()
+                .zip(&rout)
+                .fold(0u64, |acc, (l, r)| acc | (l[w] ^ r[w]));
+            if diff == 0 {
+                continue;
+            }
+            // Lanes and words past the sweep repeat earlier vectors, so
+            // the lowest set lane of the first nonzero word is the
+            // lowest mismatching vector.
+            let word = (block * BLOCK_WORDS + w) as u64;
+            let vector = word * WORD_LANES as u64 + u64::from(diff.trailing_zeros());
+            debug_assert!(vector < lsim.vector_count());
+            let witness = (0..left.input_count())
+                .map(|i| (vector >> i) & 1 == 1)
+                .collect();
+            return Equivalence::Mismatch { witness };
+        }
+    }
+    Equivalence::Equivalent { exhaustive: true }
 }
 
 fn check_vectors(
     left: &Netlist,
     right: &Netlist,
     vectors: impl Iterator<Item = Vec<u64>>,
-    exhaustive: bool,
 ) -> Equivalence {
     let n_inputs = left.input_count();
     let lsim = LaneSim::new(left);
@@ -189,37 +216,7 @@ fn check_vectors(
     if let Some(witness) = flush(&mut batch) {
         return Equivalence::Mismatch { witness };
     }
-    Equivalence::Equivalent { exhaustive }
-}
-
-/// All 2^n input assignments, one bit (0/1) per input.
-struct ExhaustiveVectors {
-    n: usize,
-    next: u64,
-    total: u64,
-}
-
-impl ExhaustiveVectors {
-    fn new(n: usize) -> Self {
-        ExhaustiveVectors {
-            n,
-            next: 0,
-            total: 1u64 << n,
-        }
-    }
-}
-
-impl Iterator for ExhaustiveVectors {
-    type Item = Vec<u64>;
-
-    fn next(&mut self) -> Option<Vec<u64>> {
-        if self.next >= self.total {
-            return None;
-        }
-        let v = (0..self.n).map(|i| (self.next >> i) & 1).collect();
-        self.next += 1;
-        Some(v)
-    }
+    Equivalence::Equivalent { exhaustive: false }
 }
 
 /// Seeded pseudo-random assignments (xorshift; no external RNG needed

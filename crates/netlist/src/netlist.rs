@@ -582,7 +582,7 @@ impl Netlist {
     /// returning output values in declaration order.
     ///
     /// Convenience wrapper over the lane simulator for tests and small
-    /// circuits; for exhaustive sweeps use [`crate::LaneSim`].
+    /// circuits; for exhaustive sweeps use [`crate::LaneSim::truth_table`].
     ///
     /// # Panics
     ///

@@ -78,6 +78,17 @@ pub struct SpanRecord {
     pub dur_ns: u64,
 }
 
+impl SpanRecord {
+    /// The span's work count: the `n=<count>` part of its label
+    /// (vectors, MACs, evaluations…), if it carries one.
+    pub fn work(&self) -> Option<u64> {
+        self.label
+            .as_deref()?
+            .split(' ')
+            .find_map(|part| part.strip_prefix("n=")?.parse().ok())
+    }
+}
+
 #[derive(Default)]
 struct Shard {
     /// Recent spans, oldest first; bounded by the ring capacity.
@@ -399,6 +410,14 @@ impl SpanGuard {
             self.annotation.set(Some(annotation));
         }
     }
+
+    /// Replaces the span's label, for a work count known only once the
+    /// work is done. `label` only runs when a collector is installed.
+    pub fn relabel(&mut self, label: impl FnOnce() -> String) {
+        if let Some(active) = self.active.as_mut() {
+            active.label = Some(label());
+        }
+    }
 }
 
 impl Drop for SpanGuard {
@@ -482,6 +501,9 @@ pub struct ProfileRow {
     pub p50_ns: u64,
     /// 99th-percentile instance duration (nearest-rank).
     pub p99_ns: u64,
+    /// Summed work counts of the instances that carry one
+    /// ([`SpanRecord::work`]).
+    pub work: Option<u64>,
 }
 
 fn percentile(sorted: &[u64], q: f64) -> u64 {
@@ -538,17 +560,22 @@ impl Trace {
             paths.insert(id, path.clone());
             path
         }
-        let mut rows: std::collections::BTreeMap<String, (&'static str, Vec<u64>, u64)> =
-            std::collections::BTreeMap::new();
+        type Row = (&'static str, Vec<u64>, u64, Option<u64>);
+        let mut rows: std::collections::BTreeMap<String, Row> = std::collections::BTreeMap::new();
         for s in &self.spans {
             let path = path_of(s.id, &by_id, &mut paths);
             let own = s.dur_ns - child_ns.get(&s.id).copied().unwrap_or(0).min(s.dur_ns);
-            let row = rows.entry(path).or_insert_with(|| (s.name, Vec::new(), 0));
+            let row = rows
+                .entry(path)
+                .or_insert_with(|| (s.name, Vec::new(), 0, None));
             row.1.push(s.dur_ns);
             row.2 += own;
+            if let Some(n) = s.work() {
+                row.3 = Some(row.3.unwrap_or(0) + n);
+            }
         }
         rows.into_iter()
-            .map(|(path, (name, mut durs, self_ns))| {
+            .map(|(path, (name, mut durs, self_ns, work))| {
                 durs.sort_unstable();
                 ProfileRow {
                     depth: path.matches('/').count(),
@@ -558,6 +585,7 @@ impl Trace {
                     self_ns,
                     p50_ns: percentile(&durs, 0.50),
                     p99_ns: percentile(&durs, 0.99),
+                    work,
                     path,
                 }
             })
@@ -565,7 +593,8 @@ impl Trace {
     }
 
     /// The text profile tree: one indented row per span path with
-    /// count, total, self time, and p50/p99 instance latencies.
+    /// count, total, self time, and p50/p99 instance latencies, plus
+    /// `n=<work>` on rows whose spans carry a work count.
     pub fn text_profile(&self) -> String {
         let rows = self.profile();
         let total_roots: u64 = self
@@ -599,13 +628,14 @@ impl Trace {
         );
         for r in &rows {
             out.push_str(&format!(
-                "{:<name_width$}  {:>7}  {:>12.3}  {:>12.3}  {:>10.3}  {:>10.3}\n",
+                "{:<name_width$}  {:>7}  {:>12.3}  {:>12.3}  {:>10.3}  {:>10.3}{}\n",
                 format!("{}{}", "  ".repeat(r.depth), r.name),
                 r.count,
                 ms(r.total_ns),
                 ms(r.self_ns),
                 ms(r.p50_ns),
                 ms(r.p99_ns),
+                r.work.map(|n| format!("  n={n}")).unwrap_or_default(),
             ));
         }
         if !self.counters.is_empty() {
@@ -743,11 +773,15 @@ mod tests {
         assert!(!enabled());
         let evaluated = std::cell::Cell::new(false);
         {
-            let guard = SpanGuard::enter("idle", || {
+            let mut guard = SpanGuard::enter("idle", || {
                 evaluated.set(true);
                 Some("x".to_string())
             });
             guard.annotate("ignored");
+            guard.relabel(|| {
+                evaluated.set(true);
+                "y".to_string()
+            });
         }
         assert!(!evaluated.get(), "label closure must not run when off");
         counter("noop", 3); // must not panic
@@ -762,7 +796,8 @@ mod tests {
                 let stage = span!("memo.library", "depth={}", 2);
                 stage.annotate("miss");
             }
-            let _stage2 = span!("runner");
+            let mut stage2 = span!("runner", "pending");
+            stage2.relabel(|| "n=7".to_string());
         });
         let trace = collector.snapshot();
         assert_eq!(trace.spans.len(), 3);
@@ -778,6 +813,11 @@ mod tests {
         assert_eq!(lib.annotation, Some("miss"));
         let runner = trace.spans.iter().find(|s| s.name == "runner").unwrap();
         assert_eq!(runner.parent, root.id, "siblings share the parent");
+        assert_eq!(
+            runner.label.as_deref(),
+            Some("n=7"),
+            "relabel replaces the label"
+        );
     }
 
     #[test]
@@ -932,9 +972,14 @@ mod tests {
             let _root = span!("run");
             let _child = span!("memo.library");
             counter("hits", 1);
+            for n in [3, 4] {
+                let _batch = span!("ga.eval_batch", "gen=0 n={n}");
+            }
         });
         let text = collector.snapshot().text_profile();
         assert!(text.contains("memo.library"));
+        let batch = text.lines().find(|l| l.contains("ga.eval_batch")).unwrap();
+        assert!(batch.ends_with("  n=7"), "work counts sum per row: {batch}");
         assert!(text.contains("p99_ms"));
         assert!(text.contains("hits = 1"));
     }

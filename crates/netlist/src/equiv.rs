@@ -126,11 +126,7 @@ pub fn check_equivalence(left: &Netlist, right: &Netlist) -> Result<Equivalence,
     if n_inputs <= EXHAUSTIVE_INPUT_LIMIT {
         Ok(check_exhaustive(left, right))
     } else {
-        Ok(check_vectors(
-            left,
-            right,
-            SampledVectors::new(n_inputs, SAMPLE_VECTORS),
-        ))
+        Ok(check_sampled(left, right))
     }
 }
 
@@ -167,12 +163,10 @@ fn check_exhaustive(left: &Netlist, right: &Netlist) -> Equivalence {
     Equivalence::Equivalent { exhaustive: true }
 }
 
-fn check_vectors(
-    left: &Netlist,
-    right: &Netlist,
-    vectors: impl Iterator<Item = Vec<u64>>,
-) -> Equivalence {
+/// Compares both netlists on [`SAMPLE_VECTORS`] seeded random vectors.
+fn check_sampled(left: &Netlist, right: &Netlist) -> Equivalence {
     let n_inputs = left.input_count();
+    let vectors = SampledVectors::new(n_inputs, SAMPLE_VECTORS);
     let lsim = LaneSim::new(left);
     let rsim = LaneSim::new(right);
     let mut lscratch = Vec::new();

@@ -145,6 +145,17 @@ impl<'a> LaneSim<'a> {
         words.div_ceil(BLOCK_WORDS)
     }
 
+    /// Entries of the truth table, `2^inputs`, once the netlist's shape
+    /// fits one.
+    fn table_len(&self) -> u64 {
+        let (ins, outs) = (self.netlist.input_count(), self.netlist.output_count());
+        assert!(
+            ins <= 32 && outs <= 32,
+            "truth tables cover at most 32 inputs and 32 outputs, got {ins} and {outs}"
+        );
+        self.vector_count()
+    }
+
     /// Evaluates block `block` of the exhaustive sweep: word `w` of the
     /// block holds vectors `64·(block·BLOCK_WORDS + w) + lane`. On
     /// return `outputs[o]` holds output `o` across the block's words.
@@ -209,7 +220,7 @@ impl<'a> LaneSim<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the netlist has more than 32 outputs.
+    /// Panics if the netlist has more than 32 inputs or outputs.
     ///
     /// # Example
     ///
@@ -228,7 +239,7 @@ impl<'a> LaneSim<'a> {
     /// assert_eq!(LaneSim::new(&n).truth_table(), vec![0b00, 0b01, 0b01, 0b10]);
     /// ```
     pub fn truth_table(&self) -> Vec<u32> {
-        let mut table = vec![0; self.vector_count() as usize];
+        let mut table = vec![0; self.table_len() as usize];
         self.fill_truth_table(0, &mut table);
         table
     }
@@ -239,20 +250,15 @@ impl<'a> LaneSim<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the netlist has more than 32 outputs or the entries
-    /// run past `2^inputs`.
+    /// Panics if the netlist has more than 32 inputs or outputs, or
+    /// the entries run past `2^inputs`.
     pub fn fill_truth_table(&self, first: u64, table: &mut [u32]) {
-        let outs = self.netlist.output_count();
-        assert!(
-            outs <= 32,
-            "truth tables hold at most 32 outputs, got {outs}"
-        );
         let lanes = WORD_LANES as u64;
         let end = first + table.len() as u64;
+        let total = self.table_len();
         assert!(
-            end <= self.vector_count(),
-            "entries {first}..{end} run past {} vectors",
-            self.vector_count()
+            end <= total,
+            "entries {first}..{end} run past {total} vectors"
         );
         let (first_word, end_word) = (first / lanes, end.div_ceil(lanes));
         let (mut scratch, mut outputs) = (Vec::new(), Vec::new());
@@ -433,6 +439,17 @@ mod tests {
         }
         let table = LaneSim::new(&n).truth_table();
         assert!(table.iter().enumerate().all(|(v, &e)| e as usize == v));
+    }
+
+    #[test]
+    #[should_panic(expected = "truth tables cover at most 32 inputs and 32 outputs")]
+    fn truth_table_rejects_33_outputs() {
+        let mut n = Netlist::new("wide_out");
+        let a = n.input("a");
+        for o in 0..33 {
+            n.output(format!("o{o}"), a);
+        }
+        LaneSim::new(&n).truth_table();
     }
 
     #[test]

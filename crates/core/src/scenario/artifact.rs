@@ -184,8 +184,7 @@ pub struct LintFindingRow {
     pub message: String,
 }
 
-/// A typed experiment result table — one variant per row family,
-/// unifying everything the nine legacy binaries printed.
+/// A typed experiment result table — one variant per row family.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Artifact {
     /// Figure 2 scatter points.
@@ -260,8 +259,7 @@ impl Artifact {
         self.len() == 0
     }
 
-    /// Column header of the rendered table (matches what the legacy
-    /// binaries printed).
+    /// Column header of the rendered table.
     pub fn header(&self) -> Vec<String> {
         let own = |cols: &[&str]| cols.iter().map(std::string::ToString::to_string).collect();
         match self {
@@ -339,8 +337,7 @@ impl Artifact {
         }
     }
 
-    /// Machine-readable column names for the CSV sink (snake_case;
-    /// matches the headers the legacy `fig2`/`fig3` binaries wrote).
+    /// Machine-readable column names for the CSV sink (snake_case).
     pub fn csv_header(&self) -> Vec<String> {
         let own = |cols: &[&str]| cols.iter().map(std::string::ToString::to_string).collect();
         match self {
@@ -419,7 +416,7 @@ impl Artifact {
     }
 
     /// The rows as formatted display cells — the exact strings the
-    /// legacy binaries printed and wrote to their CSV artifacts.
+    /// text table prints.
     pub fn table_rows(&self) -> Vec<Vec<String>> {
         match self {
             Artifact::Fig2(rows) => rows
@@ -601,8 +598,7 @@ impl Artifact {
         }
     }
 
-    /// Renders the artifact as the aligned plain-text table the legacy
-    /// binaries printed.
+    /// Renders the artifact as an aligned plain-text table.
     pub fn to_table(&self) -> String {
         let header = self.header();
         let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
@@ -773,8 +769,8 @@ impl Report {
         out
     }
 
-    /// The full text rendering: banner, tables, notes — what the
-    /// legacy binaries printed.
+    /// The full text rendering: banner, tables, notes — what `carma
+    /// run` prints.
     pub fn render_text(&self) -> String {
         format!(
             "{}{}{}",

@@ -5,9 +5,8 @@
 //! `table1`, `ablation_family`, …) to runner functions, and a typed
 //! [`Report`]/[`Artifact`] result with text, JSON and CSV sinks.
 //!
-//! This is the programmatic surface behind both the `carma` CLI and
-//! the legacy per-figure binaries in `carma-bench` (which are now
-//! thin shims over [`ExperimentRegistry::run`]).
+//! This is the programmatic surface behind the `carma` CLI and
+//! `carma serve`.
 //!
 //! ```no_run
 //! use carma_core::scenario::{ExperimentRegistry, ScenarioSpec};
@@ -58,13 +57,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from the environment alone — the thin
-    /// backwards-compatible wrapper over [`resolve_scale`] (lenient:
-    /// anything but `full` means quick).
-    pub fn from_env() -> Self {
-        resolve_scale(None, None)
-    }
-
     /// Builds a context at this scale for `node`.
     pub fn context(self, node: TechNode) -> CarmaContext {
         match self {
@@ -191,8 +183,8 @@ pub fn resolve_threads(spec: Option<usize>, cli: Option<usize>) -> Option<usize>
 /// unset, empty, or a valid positive integer.
 pub use carma_exec::threads_env_diagnostic;
 
-/// The standard experiment banner (what every bench binary prints
-/// before its table).
+/// The standard experiment banner (what `carma run` prints before its
+/// tables).
 pub fn banner_text(title: &str, scale: Scale) -> String {
     format!(
         "=== CARMA experiment: {title} (scale: {scale:?}) ===\n\
@@ -480,6 +472,10 @@ mod tests {
             Scale::Full
         );
         assert_eq!(resolve_scale(None, Some(Scale::Full)), Scale::Full);
+        // Nothing set anywhere: quick scale.
+        if std::env::var("CARMA_SCALE").is_err() {
+            assert_eq!(resolve_scale(None, None), Scale::Quick);
+        }
         assert_eq!(resolve_threads(Some(3), Some(9)), Some(3));
         assert_eq!(resolve_threads(None, Some(9)), Some(9));
     }

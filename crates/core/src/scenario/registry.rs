@@ -1,7 +1,5 @@
-//! The experiment registry: stable names → runner functions. Each
-//! runner reproduces one legacy `carma-bench` binary byte-for-byte at
-//! the same seed/scale/threads, but is driven by a [`ScenarioSpec`]
-//! instead of hand-rolled `main` plumbing.
+//! The experiment registry: stable names → runner functions, each
+//! driven by a resolved [`ScenarioSpec`].
 
 use std::time::Instant;
 
@@ -165,14 +163,12 @@ pub struct ExperimentInfo {
     /// experiment are rejected at resolve time rather than silently
     /// running under a different fitness.
     pub objective_aware: bool,
-    /// Legacy CSV artifact file the shim binary writes (`fig2.csv`…).
-    pub csv_artifact: Option<&'static str>,
     /// The runner.
     pub runner: Runner,
 }
 
-/// Registry of every experiment reachable from the `carma` CLI and the
-/// legacy binaries.
+/// Registry of every experiment reachable from the `carma` CLI and
+/// `carma serve`.
 pub struct ExperimentRegistry {
     entries: Vec<ExperimentInfo>,
 }
@@ -196,7 +192,6 @@ impl ExperimentRegistry {
                 multi_model: false,
                 zoo_default: false,
                 objective_aware: false,
-                csv_artifact: Some("fig2.csv"),
                 runner: Runner::Single(run_fig2),
             },
             ExperimentInfo {
@@ -207,7 +202,6 @@ impl ExperimentRegistry {
                 multi_model: false,
                 zoo_default: false,
                 objective_aware: false,
-                csv_artifact: None,
                 runner: Runner::PerNode(run_table1),
             },
             ExperimentInfo {
@@ -218,7 +212,6 @@ impl ExperimentRegistry {
                 multi_model: true,
                 zoo_default: true,
                 objective_aware: false,
-                csv_artifact: Some("fig3.csv"),
                 runner: Runner::PerNode(run_fig3),
             },
             ExperimentInfo {
@@ -229,7 +222,6 @@ impl ExperimentRegistry {
                 multi_model: false,
                 zoo_default: false,
                 objective_aware: false,
-                csv_artifact: None,
                 runner: Runner::Custom(run_ablation_family),
             },
             ExperimentInfo {
@@ -240,7 +232,6 @@ impl ExperimentRegistry {
                 multi_model: false,
                 zoo_default: false,
                 objective_aware: false,
-                csv_artifact: None,
                 runner: Runner::Custom(run_ablation_grid),
             },
             ExperimentInfo {
@@ -251,7 +242,6 @@ impl ExperimentRegistry {
                 multi_model: false,
                 zoo_default: false,
                 objective_aware: false,
-                csv_artifact: None,
                 runner: Runner::Single(run_ablation_metric),
             },
             ExperimentInfo {
@@ -262,7 +252,6 @@ impl ExperimentRegistry {
                 multi_model: false,
                 zoo_default: false,
                 objective_aware: false,
-                csv_artifact: None,
                 runner: Runner::Single(run_ablation_search),
             },
             ExperimentInfo {
@@ -273,7 +262,6 @@ impl ExperimentRegistry {
                 multi_model: false,
                 zoo_default: false,
                 objective_aware: false,
-                csv_artifact: None,
                 runner: Runner::Custom(run_ablation_yield),
             },
             ExperimentInfo {
@@ -285,7 +273,6 @@ impl ExperimentRegistry {
                 multi_model: false,
                 zoo_default: false,
                 objective_aware: true,
-                csv_artifact: None,
                 runner: Runner::Single(run_deployment),
             },
             ExperimentInfo {
@@ -296,7 +283,6 @@ impl ExperimentRegistry {
                 multi_model: false,
                 zoo_default: false,
                 objective_aware: false,
-                csv_artifact: None,
                 runner: Runner::Custom(run_bench_parallel),
             },
             ExperimentInfo {
@@ -307,7 +293,6 @@ impl ExperimentRegistry {
                 multi_model: false,
                 zoo_default: false,
                 objective_aware: false,
-                csv_artifact: None,
                 runner: Runner::Custom(run_lint),
             },
         ];
@@ -516,7 +501,7 @@ fn run_ablation_grid(r: &ResolvedScenario, env: &RunEnv) -> Report {
     // One context serves every arm: the library characterization,
     // accuracy reference run and perf cache are grid-independent, and
     // swapping the carbon model is deterministic — rows are identical
-    // to the per-arm contexts the legacy binary built. (Each arm still
+    // to building one context per arm. (Each arm still
     // addresses its own memo cells: the cell-key prefix follows the
     // carbon model.)
     let mut ctx = env.context_for(r, r.node);

@@ -403,9 +403,8 @@ struct ResolvedDeployment {
 }
 
 impl ScenarioSpec {
-    /// The default spec for a registry experiment: running it
-    /// reproduces the matching `carma-bench` binary byte-for-byte at
-    /// the same scale/threads.
+    /// The default spec for a registry experiment (what `carma run
+    /// <name>` runs without a spec file).
     pub fn named(experiment: &str) -> Self {
         ScenarioSpec {
             experiment: experiment.to_string(),
@@ -971,8 +970,7 @@ impl ResolvedScenario {
     }
 
     /// Builds the evaluation context for `node`. With no family /
-    /// depth / sample overrides this is exactly [`Scale::context`], so
-    /// default specs reproduce the legacy binaries bit-for-bit.
+    /// depth / sample overrides this is exactly [`Scale::context`].
     pub fn context_for(&self, node: TechNode) -> CarmaContext {
         CarmaContext::with_parts(node, self.library(), self.evaluator())
     }

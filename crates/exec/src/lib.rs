@@ -4,7 +4,7 @@
 //! parallel-map over a persistent worker pool, shared by every
 //! evaluation layer of the workspace (GA/NSGA-II population
 //! evaluation, multiplier-library characterization, `ErrorProfile`
-//! sweeps, the CDP flow and the bench binaries).
+//! sweeps and the CDP flow).
 //!
 //! ## Determinism contract
 //!
@@ -105,8 +105,8 @@ fn parse_threads(text: Option<&str>) -> Option<usize> {
 /// `CARMA_THREADS=fast` or `=0`), which the lenient parse would
 /// otherwise silently ignore, falling back to available parallelism.
 /// Returns `None` when the variable is unset, empty, or a valid
-/// positive integer. Entry points (the `carma` CLI, the legacy bench
-/// binaries) print the `Some` text to stderr before running.
+/// positive integer. The `carma` CLI prints the `Some` text to stderr
+/// before running.
 pub fn threads_env_diagnostic() -> Option<String> {
     match std::env::var("CARMA_THREADS") {
         Ok(v) if !v.is_empty() && parse_threads(Some(&v)).is_none() => Some(format!(

@@ -214,151 +214,3 @@ mod tests {
         assert!(format!("{lut:?}").contains("LutMultiplier"));
     }
 }
-
-// ---------------------------------------------------------------------
-// Binary (de)serialization
-// ---------------------------------------------------------------------
-
-/// Errors of [`LutMultiplier::from_bytes`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeLutError {
-    /// The buffer does not start with the `CLUT` magic.
-    BadMagic,
-    /// The header declares an unsupported width.
-    BadWidth(u32),
-    /// The buffer is shorter than the header-declared table.
-    Truncated {
-        /// Bytes expected from the header.
-        expected: usize,
-        /// Bytes actually present.
-        actual: usize,
-    },
-}
-
-impl fmt::Display for DecodeLutError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DecodeLutError::BadMagic => write!(f, "missing CLUT magic"),
-            DecodeLutError::BadWidth(w) => write!(f, "unsupported LUT width {w}"),
-            DecodeLutError::Truncated { expected, actual } => {
-                write!(f, "truncated LUT: expected {expected} bytes, got {actual}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for DecodeLutError {}
-
-impl LutMultiplier {
-    /// Magic bytes heading the serialized form.
-    pub const MAGIC: [u8; 4] = *b"CLUT";
-
-    /// Serializes the LUT into a self-describing binary blob
-    /// (`CLUT` magic, width, name, little-endian table), so compiled
-    /// approximate multipliers can be cached on disk or shipped to an
-    /// inference runtime without re-simulating the netlist.
-    pub fn to_bytes(&self) -> bytes::Bytes {
-        use bytes::BufMut;
-        let name = self.name.as_bytes();
-        let mut buf = bytes::BytesMut::with_capacity(4 + 4 + 4 + name.len() + self.table.len() * 4);
-        buf.put_slice(&Self::MAGIC);
-        buf.put_u32_le(self.width);
-        buf.put_u32_le(name.len() as u32);
-        buf.put_slice(name);
-        for &v in self.table.iter() {
-            buf.put_u32_le(v);
-        }
-        buf.freeze()
-    }
-
-    /// Deserializes a LUT from [`Self::to_bytes`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeLutError`] on a malformed buffer (wrong magic,
-    /// width outside `1..=MAX_WIDTH`, truncated table).
-    pub fn from_bytes(mut data: bytes::Bytes) -> Result<Self, DecodeLutError> {
-        use bytes::Buf;
-        if data.remaining() < 12 || data[0..4] != Self::MAGIC {
-            return Err(DecodeLutError::BadMagic);
-        }
-        data.advance(4);
-        let width = data.get_u32_le();
-        if width == 0 || width > Self::MAX_WIDTH {
-            return Err(DecodeLutError::BadWidth(width));
-        }
-        let name_len = data.get_u32_le() as usize;
-        let entries = 1usize << (2 * width);
-        let expected = name_len + entries * 4;
-        if data.remaining() < expected {
-            return Err(DecodeLutError::Truncated {
-                expected,
-                actual: data.remaining(),
-            });
-        }
-        let name = String::from_utf8_lossy(&data[..name_len]).into_owned();
-        data.advance(name_len);
-        let mut table = Vec::with_capacity(entries);
-        for _ in 0..entries {
-            table.push(data.get_u32_le());
-        }
-        Ok(LutMultiplier {
-            width,
-            name,
-            table: table.into(),
-        })
-    }
-}
-
-#[cfg(test)]
-mod serde_tests {
-    use super::*;
-    use crate::approx::ApproxGenome;
-    use crate::exact::ReductionKind;
-
-    #[test]
-    fn roundtrip_preserves_function() {
-        let base = MultiplierCircuit::generate(8, ReductionKind::Dadda);
-        let approx = ApproxGenome::truncation(2, 1).apply(&base);
-        let lut = LutMultiplier::compile(&approx);
-        let restored = LutMultiplier::from_bytes(lut.to_bytes()).unwrap();
-        assert_eq!(restored.name(), lut.name());
-        assert_eq!(restored.width(), lut.width());
-        for a in (0u32..256).step_by(19) {
-            for b in (0u32..256).step_by(23) {
-                assert_eq!(restored.multiply(a, b), lut.multiply(a, b));
-            }
-        }
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let err = LutMultiplier::from_bytes(bytes::Bytes::from_static(b"NOPE12345678"));
-        assert_eq!(err.unwrap_err(), DecodeLutError::BadMagic);
-    }
-
-    #[test]
-    fn truncated_table_rejected() {
-        let c = MultiplierCircuit::generate(4, ReductionKind::Array);
-        let lut = LutMultiplier::compile(&c);
-        let full = lut.to_bytes();
-        let cut = full.slice(0..full.len() - 10);
-        assert!(matches!(
-            LutMultiplier::from_bytes(cut),
-            Err(DecodeLutError::Truncated { .. })
-        ));
-    }
-
-    #[test]
-    fn bad_width_rejected() {
-        use bytes::BufMut;
-        let mut buf = bytes::BytesMut::new();
-        buf.put_slice(b"CLUT");
-        buf.put_u32_le(99);
-        buf.put_u32_le(0);
-        assert_eq!(
-            LutMultiplier::from_bytes(buf.freeze()).unwrap_err(),
-            DecodeLutError::BadWidth(99)
-        );
-    }
-}

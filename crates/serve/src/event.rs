@@ -581,11 +581,11 @@ pub(crate) fn event_loop(listener: TcpListener, wake_rx: TcpStream, state: &Arc<
         .fetch_add(conns.len() as u64, Ordering::Relaxed);
 }
 
-/// Non-unix placeholder: [`crate::server::ServerConfig`] forces the
-/// threaded path on these targets, so this is never reached.
+/// Non-unix placeholder: [`crate::server::Server::bind`] refuses
+/// hosts without `poll(2)`, so this is never reached.
 #[cfg(not(unix))]
 pub(crate) fn event_loop(_listener: TcpListener, _wake_rx: TcpStream, _state: &Arc<ServeState>) {
-    unreachable!("the event loop requires poll(2); non-unix targets use the threaded path");
+    unreachable!("the event loop requires poll(2); Server::bind refuses non-unix hosts");
 }
 
 /// Answers 503 + `Retry-After` on a connection over the max-conns

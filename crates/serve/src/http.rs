@@ -1,10 +1,9 @@
 //! The HTTP/1.1 layer over `std::net`: an **incremental** request
 //! parser (feed bytes as they arrive, get back complete requests —
 //! the event loop's per-connection state machine drives it with
-//! nonblocking reads, the threaded compat path with blocking ones),
-//! keep-alive/pipelining-aware response encoding, and small blocking
-//! clients (one-shot `Connection: close`, plus a persistent
-//! [`HttpClient`] for keep-alive and pipelined traffic).
+//! nonblocking reads), keep-alive/pipelining-aware response encoding,
+//! and small blocking clients (one-shot `Connection: close`, plus a
+//! persistent [`HttpClient`] for keep-alive and pipelined traffic).
 //!
 //! The parser is deliberately strict where laxness becomes request
 //! smuggling once connections are reused: duplicate or non-digit
@@ -262,46 +261,6 @@ pub fn try_parse_request(buf: &[u8], scanned: &mut usize) -> TryParse {
     }
 }
 
-/// Blocking request reader for the threaded compat path: wraps a
-/// per-connection carry buffer so bytes read past one request (a
-/// pipelined successor) are parsed by the next call instead of lost.
-#[derive(Default)]
-pub struct BlockingReader {
-    carry: Vec<u8>,
-    scanned: usize,
-}
-
-impl BlockingReader {
-    /// Creates a reader with an empty carry buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Reads and parses one request from `stream`, blocking until it
-    /// is complete. A clean EOF on a request boundary reports
-    /// [`RequestError::Closed`].
-    pub fn read_request(&mut self, stream: &mut TcpStream) -> Result<Request, RequestError> {
-        stream.set_read_timeout(Some(READ_TIMEOUT)).ok();
-        loop {
-            match try_parse_request(&self.carry, &mut self.scanned) {
-                TryParse::Request { request, consumed } => {
-                    self.carry.drain(..consumed);
-                    self.scanned = 0;
-                    return Ok(request);
-                }
-                TryParse::Error(e) => return Err(e),
-                TryParse::Incomplete => {}
-            }
-            let mut chunk = [0u8; 1024];
-            match stream.read(&mut chunk)? {
-                0 if self.carry.is_empty() => return Err(RequestError::Closed),
-                0 => return Err(RequestError::Malformed("connection closed mid-request")),
-                n => self.carry.extend_from_slice(&chunk[..n]),
-            }
-        }
-    }
-}
-
 /// An encoded-on-demand HTTP response.
 #[derive(Debug, Clone)]
 pub struct Response {
@@ -389,13 +348,6 @@ impl Response {
         out.extend_from_slice(self.body.as_bytes());
         out
     }
-}
-
-/// Writes `response` to `stream` and flushes (blocking paths only; the
-/// event loop stages [`Response::encode`] bytes in its own buffers).
-pub fn write_response(stream: &mut TcpStream, response: &Response) -> io::Result<()> {
-    stream.write_all(&response.encode())?;
-    stream.flush()
 }
 
 /// A parsed client-side response.
@@ -486,7 +438,7 @@ fn parse_client_response(raw: &[u8]) -> Option<(HttpResponse, usize)> {
 /// A persistent blocking HTTP/1.1 client connection: keep-alive
 /// request/response cycles plus split [`HttpClient::send`] /
 /// [`HttpClient::recv`] for pipelining. Used by `tests/serve_api.rs`
-/// and the `bench_serve` keep-alive/pipelined modes.
+/// and the perfbench `serve` workload.
 pub struct HttpClient {
     stream: TcpStream,
     host: String,

@@ -14,9 +14,8 @@
 //! `poll(2)` readiness, a state machine per connection, HTTP/1.1
 //! keep-alive and pipelining. Scenario computation never blocks the
 //! loop — misses suspend their connection on the [`jobs`] worker
-//! queue and the response is re-armed when the job retires. A
-//! thread-per-connection compat path remains for non-`poll` platforms
-//! (and [`ServerConfig::threaded`]). Everything is hand-rolled on
+//! queue and the response is re-armed when the job retires, so
+//! `carma serve` requires a unix host. Everything is hand-rolled on
 //! `std::net` (the build is offline; no HTTP dependency exists in the
 //! workspace) and the JSON layer is the vendored `serde` shim the
 //! scenario API already uses.
@@ -63,7 +62,6 @@
 //! ```
 //!
 //! [`ScenarioSpec`]: carma_core::scenario::ScenarioSpec
-//! [`ServerConfig::threaded`]: server::ServerConfig::threaded
 //! [`ServerConfig::max_conns`]: server::ServerConfig::max_conns
 
 pub mod cache;

@@ -84,8 +84,8 @@ impl LatencyHistogram {
     }
 }
 
-/// All service-level counters, shared by the event loop, the threaded
-/// compat path, and the `/metrics` / `/healthz` handlers.
+/// All service-level counters, shared by the event loop and the
+/// `/metrics` / `/healthz` handlers.
 #[derive(Default)]
 pub struct Metrics {
     /// Requests fully parsed (any route).

@@ -1,27 +1,21 @@
 //! The HTTP server: routing, the request→queue→cache flow, and
 //! lifecycle (spawn / clean shutdown).
 //!
-//! Two connection models share one router:
+//! Connections are served by the **event-driven** loop
+//! ([`crate::event`]): a single poll-based loop multiplexing every
+//! connection with HTTP/1.1 keep-alive and pipelining, suspending
+//! `POST /run` misses while the worker pool computes and re-arming the
+//! response when the job retires. It needs `poll(2)`, so
+//! [`Server::bind`] refuses non-unix hosts.
 //!
-//! - the default **event-driven** path ([`crate::event`]): a single
-//!   poll-based loop multiplexing every connection with HTTP/1.1
-//!   keep-alive and pipelining, suspending `POST /run` misses while
-//!   the worker pool computes and re-arming the response when the job
-//!   retires;
-//! - a **threaded compat** path (thread per connection, also
-//!   keep-alive) for platforms without `poll(2)` or embedders that set
-//!   [`ServerConfig::threaded`].
-//!
-//! Long-running work always lives on the [`JobQueue`] worker pool;
-//! neither connection model ever computes a scenario inline.
+//! Long-running work always lives on the [`JobQueue`] worker pool; the
+//! loop never computes a scenario inline.
 
-use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 use std::{io, thread};
 
 use carma_core::scenario::{ExperimentRegistry, RunEnv, ScenarioSpec};
@@ -29,7 +23,7 @@ use carma_core::MemoLayer;
 
 use crate::cache::ResultCache;
 use crate::event;
-use crate::http::{write_response, BlockingReader, Request, RequestError, Response};
+use crate::http::{Request, RequestError, Response};
 use crate::jobs::{JobQueue, JobSnapshot, JobStatus, RunnerFn, Submit, SubmitOutcome};
 use crate::metrics::{self, Metrics};
 
@@ -56,9 +50,6 @@ pub struct ServerConfig {
     /// Maximum concurrently open client connections; past it, new
     /// connections are answered 503 + `Retry-After` and closed.
     pub max_conns: usize,
-    /// Force the thread-per-connection compat path instead of the
-    /// event loop (always used on platforms without `poll(2)`).
-    pub threaded: bool,
     /// Optional directory for the stage-level memo store shared by all
     /// workers (`None` = in-memory memoization only). Distinct from
     /// [`ServerConfig::cache_dir`], which caches whole rendered
@@ -75,7 +66,6 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             cache_dir: None,
             max_conns: 512,
-            threaded: false,
             memo_dir: None,
         }
     }
@@ -90,8 +80,8 @@ pub(crate) struct ServeState {
     /// Shared stage-memo environment every worker runs through;
     /// `/metrics` reads its hit/miss counters.
     pub(crate) env: RunEnv,
-    /// Always-on trace collector: workers run scenarios under it,
-    /// both connection models stamp per-request spans into it.
+    /// Always-on trace collector: workers run scenarios under it, the
+    /// event loop stamps per-request spans into it.
     /// The span ring is bounded (feeding `GET /trace?last=N`); the
     /// per-name aggregates behind `carma_stage_seconds_total` are
     /// cumulative and unaffected by ring eviction.
@@ -104,19 +94,22 @@ pub struct Server {
     listener: TcpListener,
     state: Arc<ServeState>,
     workers: Vec<JoinHandle<()>>,
-    /// Event-loop wake channel (absent on the threaded path).
-    wake: Option<(event::Waker, TcpStream)>,
-}
-
-fn use_threaded(config: &ServerConfig) -> bool {
-    config.threaded || !cfg!(unix)
+    /// Event-loop wake channel.
+    wake: (event::Waker, TcpStream),
 }
 
 impl Server {
     /// Binds to `addr` (`127.0.0.1:0` picks an ephemeral port) and
     /// starts the worker pool; call [`Server::run`] or
-    /// [`Server::spawn`] to begin accepting requests.
+    /// [`Server::spawn`] to begin accepting requests. Fails with
+    /// [`io::ErrorKind::Unsupported`] on hosts without `poll(2)`.
     pub fn bind<A: ToSocketAddrs>(addr: A, config: ServerConfig) -> io::Result<Server> {
+        if !cfg!(unix) {
+            return Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "carma serve requires a unix host (poll(2))",
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
         let cache = Arc::new(ResultCache::new(config.cache_dir.clone())?);
         let queue = JobQueue::new(config.queue_capacity);
@@ -156,16 +149,11 @@ impl Server {
         };
         let workers = queue.start_workers(config.workers.max(1), &runner);
 
-        let wake = if use_threaded(&config) {
-            None
-        } else {
-            let (waker, rx) = event::wake_pair()?;
-            // Job completions must interrupt the poll wait so
-            // suspended responses are re-armed promptly.
-            let notify = waker.clone();
-            queue.set_notify(Arc::new(move || notify.wake()));
-            Some((waker, rx))
-        };
+        let (waker, wake_rx) = event::wake_pair()?;
+        // Job completions must interrupt the poll wait so suspended
+        // responses are re-armed promptly.
+        let notify = waker.clone();
+        queue.set_notify(Arc::new(move || notify.wake()));
 
         Ok(Server {
             listener,
@@ -180,7 +168,7 @@ impl Server {
                 shutdown: AtomicBool::new(false),
             }),
             workers,
-            wake,
+            wake: (waker, wake_rx),
         })
     }
 
@@ -189,21 +177,10 @@ impl Server {
         self.listener.local_addr()
     }
 
-    fn serve(
-        listener: TcpListener,
-        wake: Option<(event::Waker, TcpStream)>,
-        state: &Arc<ServeState>,
-    ) {
-        match wake {
-            Some((_, wake_rx)) => event::event_loop(listener, wake_rx, state),
-            None => accept_loop_threaded(&listener, state),
-        }
-    }
-
     /// Runs the connection loop on the calling thread until a shutdown
     /// request arrives, then joins the worker pool.
     pub fn run(self) -> io::Result<()> {
-        Self::serve(self.listener, self.wake, &self.state);
+        event::event_loop(self.listener, self.wake.1, &self.state);
         self.state.queue.shutdown();
         for handle in self.workers {
             let _ = handle.join();
@@ -216,14 +193,13 @@ impl Server {
     pub fn spawn(self) -> io::Result<ServerHandle> {
         let addr = self.listener.local_addr()?;
         let state = Arc::clone(&self.state);
-        let waker = self.wake.as_ref().map(|(w, _)| w.clone());
+        let (waker, wake_rx) = self.wake;
         let accept = {
             let state = Arc::clone(&self.state);
             let listener = self.listener;
-            let wake = self.wake;
             thread::Builder::new()
                 .name("carma-serve-loop".to_string())
-                .spawn(move || Self::serve(listener, wake, &state))?
+                .spawn(move || event::event_loop(listener, wake_rx, &state))?
         };
         Ok(ServerHandle {
             addr,
@@ -242,7 +218,7 @@ pub struct ServerHandle {
     state: Arc<ServeState>,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    waker: Option<event::Waker>,
+    waker: event::Waker,
 }
 
 impl ServerHandle {
@@ -254,16 +230,9 @@ impl ServerHandle {
     /// Stops accepting, wakes the queue, and joins every thread.
     pub fn shutdown(mut self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
-        match &self.waker {
-            // The event loop blocks in poll(); the wake byte makes it
-            // observe the flag.
-            Some(waker) => waker.wake(),
-            // The threaded accept loop blocks in accept(); a throwaway
-            // connection wakes it.
-            None => {
-                let _ = TcpStream::connect(self.addr);
-            }
-        }
+        // The event loop blocks in poll(); the wake byte makes it
+        // observe the flag.
+        self.waker.wake();
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
@@ -275,7 +244,7 @@ impl ServerHandle {
 }
 
 // ---------------------------------------------------------------------------
-// Routing (shared by the event loop and the threaded compat path)
+// Routing
 // ---------------------------------------------------------------------------
 
 /// One batch element: either already answerable, or waiting on a job.
@@ -300,7 +269,7 @@ pub(crate) enum Routed {
 
 /// Routes one parsed request. Never blocks: cache hits, metadata and
 /// errors answer immediately; misses come back as `WaitJob` /
-/// `WaitBatch` for the connection model to suspend on.
+/// `WaitBatch` for the event loop to suspend on.
 pub(crate) fn route(request: &Request, state: &ServeState) -> Routed {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => Routed::Ready(handle_healthz(state)),
@@ -678,142 +647,5 @@ pub(crate) fn request_error_response(error: &RequestError) -> Option<Response> {
         RequestError::HeadTooLarge => Some(Response::error(400, "request head too large")),
         RequestError::BodyTooLarge => Some(Response::error(413, "request body too large")),
         RequestError::Malformed(msg) => Some(Response::error(400, msg)),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Threaded compat path
-// ---------------------------------------------------------------------------
-
-/// 503 sent inline from the accept thread when a connection cannot be
-/// handed to a handler (max-conns guard, or thread spawn failure).
-fn shed_connection(state: &ServeState, stream: &mut TcpStream, why: &str) {
-    state
-        .metrics
-        .connections_shed
-        .fetch_add(1, Ordering::Relaxed);
-    let response = Response::error(503, why)
-        .with_header("Retry-After", "1")
-        .closing();
-    let _ = stream.write_all(&response.encode());
-}
-
-fn accept_loop_threaded(listener: &TcpListener, state: &Arc<ServeState>) {
-    let self_addr = listener.local_addr().ok();
-    for stream in listener.incoming() {
-        if state.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(mut stream) = stream else { continue };
-        if state.metrics.connections_open() >= state.config.max_conns as u64 {
-            shed_connection(state, &mut stream, "connection limit reached");
-            continue;
-        }
-        state
-            .metrics
-            .connections_opened
-            .fetch_add(1, Ordering::Relaxed);
-        // Hand the stream over through a cell so a failed spawn can
-        // take it back and answer 503 inline — under thread
-        // exhaustion a silent drop would look like a network fault to
-        // the client.
-        let cell = Arc::new(Mutex::new(Some(stream)));
-        let spawned = {
-            let cell = Arc::clone(&cell);
-            let state = Arc::clone(state);
-            thread::Builder::new()
-                .name("carma-serve-conn".to_string())
-                .spawn(move || {
-                    let taken = cell.lock().expect("stream cell").take();
-                    if let Some(stream) = taken {
-                        handle_connection_threaded(stream, &state, self_addr);
-                    }
-                    state
-                        .metrics
-                        .connections_closed
-                        .fetch_add(1, Ordering::Relaxed);
-                })
-        };
-        if spawned.is_err() {
-            if let Some(mut stream) = cell.lock().expect("stream cell").take() {
-                shed_connection(state, &mut stream, "out of connection threads");
-            }
-            state
-                .metrics
-                .connections_closed
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// One connection on the compat path: blocking keep-alive
-/// request/response cycles, with sync misses parked on
-/// [`JobQueue::wait`].
-fn handle_connection_threaded(
-    mut stream: TcpStream,
-    state: &Arc<ServeState>,
-    self_addr: Option<SocketAddr>,
-) {
-    let mut reader = BlockingReader::new();
-    loop {
-        let request = match reader.read_request(&mut stream) {
-            Ok(request) => request,
-            Err(e) => {
-                if let Some(response) = request_error_response(&e) {
-                    let _ = write_response(&mut stream, &response.closing());
-                }
-                return;
-            }
-        };
-        state.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
-        let keep_alive = request.keep_alive;
-
-        let (mut response, stop) = match route(&request, state) {
-            Routed::Ready(response) => (response, false),
-            Routed::WaitJob { id, fingerprint } => {
-                // Blocking wait; the queue wakes us when the job
-                // retires (or shutdown abandons it).
-                let _ = state.queue.wait(id);
-                let response = job_outcome_response(state, id, &fingerprint)
-                    .unwrap_or_else(|| Response::error(500, "job did not complete"));
-                (response, false)
-            }
-            Routed::WaitBatch { mut items } => {
-                for item in &mut items {
-                    if let BatchItem::Pending { id, fingerprint } = item {
-                        let _ = state.queue.wait(*id);
-                        if let Some(json) = batch_item_outcome(state, *id, fingerprint) {
-                            *item = BatchItem::Ready(json);
-                        }
-                    }
-                }
-                (batch_response(&items), false)
-            }
-            Routed::Shutdown(response) => (response, true),
-        };
-        if !keep_alive || stop {
-            response.close = true;
-        }
-        state.metrics.latency.record(started.elapsed());
-        state.trace.record_complete(
-            "request",
-            Some(request.path.clone()),
-            started.elapsed(),
-            None,
-        );
-        let write_ok = write_response(&mut stream, &response).is_ok();
-        if stop {
-            state.shutdown.store(true, Ordering::SeqCst);
-            state.queue.shutdown();
-            // Wake the blocking accept loop so it observes the flag.
-            if let Some(addr) = self_addr {
-                let _ = TcpStream::connect(addr);
-            }
-            return;
-        }
-        if !write_ok || response.close {
-            return;
-        }
     }
 }

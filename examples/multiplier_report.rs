@@ -37,7 +37,7 @@ fn print_library(title: &str, lib: &MultiplierLibrary) {
 fn main() {
     println!("CARMA approximate-multiplier library report");
 
-    // Honour the workspace-wide scale convention (see carma-bench):
+    // Honour the workspace-wide scale convention (see `Scale`):
     // `quick` (default) trims the NSGA-II budget so the example doubles
     // as a smoke test; `CARMA_SCALE=full` runs the paper-scale search.
     let full_scale = matches!(std::env::var("CARMA_SCALE").as_deref(), Ok("full"));

@@ -7,7 +7,9 @@
 //! thresholds at (much) lower carbon than the exact baseline that
 //! meets the same threshold.
 
-use carma_core::experiments::{fig2_scatter, reduction_table, ACCURACY_CLASSES};
+use carma_core::experiments::{
+    fig2_scatter_with, reduction_table_with, ACCURACY_CLASSES, FPS_THRESHOLDS,
+};
 use carma_core::flow::{approx_only_sweep, exact_sweep, smallest_exact_meeting};
 use carma_core::CarmaContext;
 use carma_dnn::DnnModel;
@@ -71,7 +73,7 @@ fn approx_only_gives_iso_architecture_savings() {
 
 #[test]
 fn reduction_table_is_monotone_in_accuracy_budget() {
-    let rows = reduction_table(ctx(), &DnnModel::vgg16());
+    let rows = reduction_table_with(ctx(), &DnnModel::vgg16(), &ACCURACY_CLASSES);
     assert_eq!(rows.len(), ACCURACY_CLASSES.len());
     for w in rows.windows(2) {
         assert!(
@@ -88,7 +90,7 @@ fn reduction_table_is_monotone_in_accuracy_budget() {
 #[test]
 fn fig2_ga_points_meet_thresholds_and_beat_exact_baselines() {
     let model = DnnModel::vgg16();
-    let rows = fig2_scatter(ctx(), &model, fast_ga());
+    let rows = fig2_scatter_with(ctx(), &model, fast_ga(), &ACCURACY_CLASSES, &FPS_THRESHOLDS);
     // 6 exact + 3×6 approx + 3 GA points.
     assert_eq!(rows.len(), 6 + 18 + 3);
     for &fps in &[30.0, 40.0, 50.0] {
@@ -117,7 +119,7 @@ fn ga_cdp_savings_are_substantial_at_30fps() {
     // footprint, achieving reductions of up to 50%."
     let model = DnnModel::vgg16();
     let baseline = smallest_exact_meeting(ctx(), &model, 30.0);
-    let rows = fig2_scatter(ctx(), &model, fast_ga());
+    let rows = fig2_scatter_with(ctx(), &model, fast_ga(), &ACCURACY_CLASSES, &FPS_THRESHOLDS);
     let ga_row = rows
         .iter()
         .find(|r| r.series == "ga-cdp@30")

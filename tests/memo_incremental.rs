@@ -22,6 +22,14 @@ fn small_fig2() -> ScenarioSpec {
     spec
 }
 
+/// A small deployment variant: fig2's node, model and library.
+fn small_deployment() -> ScenarioSpec {
+    let mut spec = ScenarioSpec::named("deployment").with_scale(Scale::Quick);
+    spec.library_depth = Some(2);
+    spec.accuracy_samples = Some(32);
+    spec
+}
+
 /// A small table1 variant: three node contexts over one library.
 fn small_table1() -> ScenarioSpec {
     let mut spec = ScenarioSpec::named("table1").with_scale(Scale::Quick);
@@ -128,6 +136,58 @@ fn disk_tier_survives_process_boundaries_bit_exactly() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Overlapping scenarios turn into incremental work, counted rather
+/// than timed: after `fig2`, a `deployment` run reuses the library and
+/// the characterized context and computes only its own cells, and a
+/// repeat computes nothing. None of it changes a byte of the report.
+#[test]
+fn deployment_after_fig2_recomputes_only_its_own_cells() {
+    let spec = small_deployment();
+    let cold = run(&RunEnv::standard(), &spec);
+
+    let env = RunEnv::standard();
+    run(&env, &small_fig2());
+    let before = stats(&env);
+    let warm = run(&env, &spec);
+    let after = stats(&env);
+    for (stage, b, a) in [
+        ("library", before.library, after.library),
+        ("accuracy", before.accuracy, after.accuracy),
+        ("context", before.context, after.context),
+    ] {
+        assert_eq!(a.misses, b.misses, "deployment recomputed fig2's {stage}");
+    }
+    for (stage, b, a) in [
+        ("library", before.library, after.library),
+        ("context", before.context, after.context),
+        ("cell", before.cell, after.cell),
+    ] {
+        assert!(
+            a.hits > b.hits,
+            "deployment never hit fig2's {stage}: {after:?}"
+        );
+    }
+
+    let before = after;
+    let repeat = run(&env, &spec);
+    let after = stats(&env);
+    for (stage, b, a) in [
+        ("library", before.library, after.library),
+        ("accuracy", before.accuracy, after.accuracy),
+        ("context", before.context, after.context),
+        ("cell", before.cell, after.cell),
+    ] {
+        assert_eq!(a.misses, b.misses, "a repeat recomputed its {stage}");
+    }
+
+    assert_eq!(cold.to_json(), warm.to_json(), "reuse changed the report");
+    assert_eq!(
+        cold.to_json(),
+        repeat.to_json(),
+        "a repeat changed the report"
+    );
 }
 
 #[test]

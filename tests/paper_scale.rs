@@ -20,7 +20,7 @@ use carma_netlist::TechNode;
 fn scaled_context() -> (CarmaContext, GaConfig) {
     if matches!(std::env::var("CARMA_SCALE").as_deref(), Ok("full")) {
         // Paper scale: depth-4 library, 256 accuracy samples, full GA
-        // budget (see carma-bench's `Scale::Full`).
+        // budget (see `carma_core::scenario::Scale::Full`).
         (CarmaContext::standard(TechNode::N7), GaConfig::default())
     } else {
         (

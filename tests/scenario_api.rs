@@ -3,7 +3,7 @@
 //! registry-driven runs and the direct experiment drivers, and the
 //! `carma` CLI binary itself.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::sync::OnceLock;
 
 use carma_core::experiments::{fig2_scatter_with, reduction_table_with};
@@ -619,6 +619,47 @@ fn cli_list_names_every_experiment() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     for name in registry().names() {
         assert!(stdout.contains(name), "list misses `{name}`:\n{stdout}");
+    }
+}
+
+/// Every registry experiment runs end to end through the CLI at quick
+/// scale. All children start before any is awaited, so the suite pays
+/// about the slowest run rather than the sum; `bench_parallel` writes
+/// its JSON into the scratch cwd.
+#[test]
+fn cli_runs_every_experiment_at_quick_scale() {
+    let dir = std::env::temp_dir().join(format!("carma_cli_every_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let children: Vec<_> = registry()
+        .names()
+        .map(|name| {
+            let child = carma_cli()
+                .args(["run", name, "--scale", "quick"])
+                .current_dir(&dir)
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .unwrap_or_else(|e| panic!("failed to spawn `carma run {name}`: {e}"));
+            (name, child)
+        })
+        .collect();
+    let outputs: Vec<_> = children
+        .into_iter()
+        .map(|(name, child)| (name, child.wait_with_output().expect("child output")))
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    for (name, out) in outputs {
+        assert!(
+            out.status.success(),
+            "`carma run {name}` exited with {:?}\nstderr:\n{}",
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains("CARMA experiment"),
+            "`carma run {name}` printed no experiment banner:\n{stdout}"
+        );
     }
 }
 

@@ -590,40 +590,6 @@ fn connections_over_the_limit_are_shed_with_retry_after() {
 }
 
 #[test]
-fn threaded_compat_path_serves_the_same_api() {
-    let handle = boot(ServerConfig {
-        threaded: true,
-        ..ServerConfig::default()
-    });
-    let addr = handle.addr();
-    let spec_json = small_spec_json(701);
-
-    // Keep-alive works on the compat path too.
-    let mut client = HttpClient::connect(addr).expect("connect");
-    let miss = client
-        .request("POST", "/run", Some(&spec_json))
-        .expect("miss");
-    assert_eq!(miss.status, 200, "{}", miss.body);
-    assert_eq!(cache_marker(&miss), "miss");
-    let hit = client
-        .request("POST", "/run", Some(&spec_json))
-        .expect("hit");
-    assert_eq!(cache_marker(&hit), "hit");
-    assert_eq!(extract_report(&miss.body), extract_report(&hit.body));
-
-    // Wire-level strictness is shared with the event path.
-    let reply = raw_roundtrip(
-        addr,
-        b"POST /run HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}",
-    );
-    assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
-
-    let metrics = client.request("GET", "/metrics", None).expect("metrics");
-    assert!(metric_value(&metrics.body, "carma_cache_hits_total") >= 1.0);
-    handle.shutdown();
-}
-
-#[test]
 fn shutdown_endpoint_stops_the_listener() {
     let handle = boot(ServerConfig::default());
     let addr = handle.addr();

@@ -1,13 +1,12 @@
 //! Cross-crate tooling integration: Verilog export, equivalence
-//! checking, LUT serialization, roofline analysis and report
-//! generation — the supporting toolchain around the headline flow.
+//! checking, roofline analysis and report generation — the supporting
+//! toolchain around the headline flow.
 
 use carma_core::report::{design_report, to_csv};
 use carma_core::{CarmaContext, DesignPoint};
 use carma_dataflow::{Accelerator, RooflineReport};
-use carma_dnn::accuracy::{AccuracyEvaluator, EvaluatorConfig};
 use carma_dnn::DnnModel;
-use carma_multiplier::{ApproxGenome, LutMultiplier, Multiplier, MultiplierCircuit, ReductionKind};
+use carma_multiplier::{ApproxGenome, MultiplierCircuit, ReductionKind};
 use carma_netlist::equiv::check_equivalence;
 use carma_netlist::{to_verilog, TechNode};
 
@@ -50,21 +49,6 @@ fn sweep_is_equivalence_preserving_on_multipliers() {
     let swept = pruned.netlist().sweep();
     let verdict = check_equivalence(pruned.netlist(), &swept).unwrap();
     assert!(verdict.is_equivalent());
-}
-
-#[test]
-fn serialized_lut_drives_inference_identically() {
-    let base = MultiplierCircuit::generate(8, ReductionKind::Dadda);
-    let approx = ApproxGenome::truncation(3, 3).apply(&base);
-    let lut = LutMultiplier::compile(&approx);
-    let restored = LutMultiplier::from_bytes(lut.to_bytes()).unwrap();
-
-    let eval = AccuracyEvaluator::new(EvaluatorConfig {
-        samples: 16,
-        ..EvaluatorConfig::default()
-    });
-    assert_eq!(eval.accuracy_drop(&lut), eval.accuracy_drop(&restored));
-    assert_eq!(lut.multiply(200, 131), restored.multiply(200, 131));
 }
 
 #[test]

@@ -28,3 +28,24 @@ pub use carma_dnn as dnn;
 pub use carma_ga as ga;
 pub use carma_multiplier as multiplier;
 pub use carma_netlist as netlist;
+
+#[cfg(test)]
+mod tests {
+    use crate::core::scenario::resolve_scale;
+    use crate::core::Scale;
+
+    #[test]
+    fn scale_defaults_to_quick() {
+        // No spec field and no CLI flag: the environment decides, and
+        // the test environment does not set CARMA_SCALE.
+        if std::env::var("CARMA_SCALE").is_err() {
+            assert_eq!(resolve_scale(None, None), Scale::Quick);
+        }
+    }
+
+    #[test]
+    fn quick_ga_is_smaller_than_full() {
+        assert!(Scale::Quick.ga().population <= Scale::Full.ga().population);
+        assert!(Scale::Quick.ga().generations <= Scale::Full.ga().generations);
+    }
+}
